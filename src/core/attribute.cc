@@ -6,8 +6,6 @@ namespace pds::core {
 
 namespace {
 
-enum class Tag : std::uint8_t { kInt = 0, kDouble = 1, kString = 2 };
-
 [[nodiscard]] bool is_numeric(const AttrValue& v) {
   return !std::holds_alternative<std::string>(v);
 }
@@ -38,34 +36,22 @@ std::partial_ordering compare_values(const AttrValue& a, const AttrValue& b) {
   return std::partial_ordering::unordered;
 }
 
-void encode_value(ByteWriter& w, const AttrValue& v) {
-  if (const auto* i = std::get_if<std::int64_t>(&v)) {
-    w.put_u8(static_cast<std::uint8_t>(Tag::kInt));
-    w.put_i64(*i);
-  } else if (const auto* d = std::get_if<double>(&v)) {
-    w.put_u8(static_cast<std::uint8_t>(Tag::kDouble));
-    w.put_f64(*d);
-  } else {
-    w.put_u8(static_cast<std::uint8_t>(Tag::kString));
-    w.put_string(std::get<std::string>(v));
-  }
-}
+void encode_value(ByteWriter& w, const AttrValue& v) { write_value(w, v); }
 
 AttrValue decode_value(ByteReader& r) {
-  switch (static_cast<Tag>(r.get_u8())) {
-    case Tag::kInt:
+  switch (static_cast<ValueTag>(r.get_u8())) {
+    case ValueTag::kInt:
       return AttrValue(r.get_i64());
-    case Tag::kDouble:
+    case ValueTag::kDouble:
       return AttrValue(r.get_f64());
-    case Tag::kString:
+    case ValueTag::kString:
       return AttrValue(r.get_string());
   }
   throw DecodeError("unknown attribute value tag");
 }
 
 void encode_attribute(ByteWriter& w, const Attribute& a) {
-  w.put_string(a.name);
-  encode_value(w, a.value);
+  write_attribute(w, a);
 }
 
 Attribute decode_attribute(ByteReader& r) {

@@ -34,25 +34,28 @@ bool DataStore::has_metadata(std::uint64_t entry_key, SimTime now) const {
   return it != metadata_.end() && !it->second.expired(now);
 }
 
+template <typename Emit>
+void DataStore::scan_metadata(const Filter& f, SimTime now,
+                              Emit&& emit) const {
+  for (const auto& [key, rec] : metadata_) {
+    if (!rec.expired(now) && f.matches(rec.descriptor)) emit(rec);
+  }
+}
+
 std::vector<DataDescriptor> DataStore::match_metadata(const Filter& f,
                                                       SimTime now) const {
   std::vector<DataDescriptor> out;
-  for (const auto& [key, rec] : metadata_) {
-    if (rec.expired(now)) continue;
-    if (f.matches(rec.descriptor)) out.push_back(rec.descriptor);
-  }
+  scan_metadata(f, now,
+                [&](const MetaRecord& rec) { out.push_back(rec.descriptor); });
   return out;
 }
 
 std::vector<DataStore::MetaMatch> DataStore::match_metadata_records(
     const Filter& f, SimTime now) const {
   std::vector<MetaMatch> out;
-  for (const auto& [key, rec] : metadata_) {
-    if (rec.expired(now)) continue;
-    if (f.matches(rec.descriptor)) {
-      out.push_back({rec.descriptor, rec.has_payload, rec.cached_at});
-    }
-  }
+  scan_metadata(f, now, [&](const MetaRecord& rec) {
+    out.push_back({rec.descriptor, rec.has_payload, rec.cached_at});
+  });
   return out;
 }
 

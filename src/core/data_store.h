@@ -131,6 +131,11 @@ class DataStore {
     std::uint64_t accesses = 0;     // popularity
   };
 
+  // The one metadata scan behind match_metadata and match_metadata_records:
+  // calls `emit(record)` for every unexpired record the filter matches.
+  template <typename Emit>
+  void scan_metadata(const Filter& f, SimTime now, Emit&& emit) const;
+
   void evict_cached_chunks_if_needed(SimTime now);
 
   std::unordered_map<std::uint64_t, MetaRecord> metadata_;

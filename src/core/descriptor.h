@@ -9,12 +9,24 @@
 //                  all chunks of one large item share it;
 //  * entry_key() — hash *including* chunk_id: the key used in Bloom filters
 //                  and redundancy detection, unique per metadata entry.
+//
+// Representation (DESIGN.md §18): a DataDescriptor is a handle to one
+// shared, reference-counted attribute set. Every node caches every entry it
+// relays or overhears, so one distinct descriptor lives as hundreds of
+// copies (store records, response payloads, session lists); copying a
+// handle is a reference-count bump and never allocates. set() is
+// copy-on-write: it edits in place while the handle is the only one, and
+// otherwise detaches onto a private copy first, so no other copy ever sees
+// a change. The identity hashes and encoded size are computed once per
+// shared representation and memoized there.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <optional>
 #include <span>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.h"
@@ -41,14 +53,26 @@ inline constexpr std::string_view kCdiType = "cdi";
 class DataDescriptor {
  public:
   DataDescriptor() = default;
+  DataDescriptor(const DataDescriptor& other) noexcept : rep_(other.rep_) {
+    if (rep_ != nullptr) rep_->refs.fetch_add(1, std::memory_order_relaxed);
+  }
+  DataDescriptor(DataDescriptor&& other) noexcept
+      : rep_(std::exchange(other.rep_, nullptr)) {}
+  DataDescriptor& operator=(const DataDescriptor& other) noexcept {
+    DataDescriptor(other).swap(*this);
+    return *this;
+  }
+  DataDescriptor& operator=(DataDescriptor&& other) noexcept {
+    DataDescriptor(std::move(other)).swap(*this);
+    return *this;
+  }
+  ~DataDescriptor() { release(); }
 
   // Sets (or replaces) an attribute.
   DataDescriptor& set(std::string_view name, AttrValue value);
 
   [[nodiscard]] const AttrValue* find(std::string_view name) const;
-  [[nodiscard]] const std::vector<Attribute>& attributes() const {
-    return attrs_;
-  }
+  [[nodiscard]] const std::vector<Attribute>& attributes() const;
 
   // Convenience accessors for well-known attributes.
   [[nodiscard]] std::string_view namespace_name() const;
@@ -75,15 +99,47 @@ class DataDescriptor {
   [[nodiscard]] std::size_t encoded_size() const;
 
   friend bool operator==(const DataDescriptor& a, const DataDescriptor& b) {
-    return a.attrs_ == b.attrs_;
+    return a.attributes() == b.attributes();
   }
 
  private:
-  // Sorted by attribute name; unique names.
-  std::vector<Attribute> attrs_;
-  // entry_key() is on several hot paths (store matching, Bloom pruning); the
-  // canonical-encoding hash is memoized and invalidated by set().
-  mutable std::optional<std::uint64_t> key_cache_;
+  // The shared representation. `attrs` is immutable while more than one
+  // handle refers to it. The identity memo is filled by the first reader and
+  // published through `memo_ready`; readers racing to fill it store
+  // identical values into atomics, so concurrent first use is race-free.
+  struct Rep {
+    std::atomic<std::uint32_t> refs{1};
+    std::atomic<bool> memo_ready{false};
+    std::atomic<std::uint64_t> entry_key{0};
+    std::atomic<std::uint64_t> item_id{0};
+    std::atomic<std::size_t> encoded_size{0};
+    // Sorted by attribute name; unique names.
+    std::vector<Attribute> attrs;
+  };
+
+  struct Identity {
+    std::uint64_t entry_key = 0;
+    std::uint64_t item_id = 0;
+    std::size_t encoded_size = 0;
+  };
+
+  void swap(DataDescriptor& other) noexcept { std::swap(rep_, other.rep_); }
+  void release() noexcept;
+  // The representation set() may edit: created on first use, detached from
+  // other handles (copy-on-write), its identity memo cleared.
+  Rep& mutable_rep();
+  [[nodiscard]] Identity identity() const;
+
+  // Null for the empty descriptor, which therefore never allocates.
+  Rep* rep_ = nullptr;
 };
+
+inline void DataDescriptor::release() noexcept {
+  if (rep_ != nullptr &&
+      rep_->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    delete rep_;
+  }
+  rep_ = nullptr;
+}
 
 }  // namespace pds::core

@@ -27,6 +27,7 @@
 #include "common/types.h"
 #include "net/message.h"
 #include "util/bloom_filter.h"
+#include "util/flat_key_set.h"
 
 namespace pds::core {
 
@@ -38,7 +39,8 @@ struct LingeringQuery {
   util::BloomFilter exclude;
   // Entry keys already relayed/served toward this query's upstream; backs up
   // the Bloom filter when rewriting is disabled and suppresses duplicates.
-  std::unordered_set<std::uint64_t> served_keys;
+  // Membership only, so a flat set (DESIGN.md §18).
+  util::FlatKeySet served_keys;
   // CDI streams: best hop count already relayed per chunk (relay only
   // improvements).
   std::unordered_map<ChunkIndex, std::uint32_t> relayed_cdi_hops;

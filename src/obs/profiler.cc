@@ -8,6 +8,22 @@
 
 namespace pds::obs {
 
+struct Profiler::Node {
+  const char* name;
+  Node* parent;        // nullptr = root
+  std::size_t index;   // creation order; parents precede their children
+  Node* next_sibling;  // set before the node is published, then constant
+  std::atomic<Node*> first_child{nullptr};
+  std::atomic<std::int64_t> ns{0};
+  std::atomic<std::uint64_t> calls{0};
+
+  Node(const char* n, Node* p, std::size_t i, Node* next)
+      : name(n), parent(p), index(i), next_sibling(next) {}
+};
+
+Profiler::Profiler() = default;
+Profiler::~Profiler() = default;
+
 namespace {
 
 // Wall-clock source. The profiler is the one library component allowed to
@@ -24,29 +40,39 @@ std::int64_t now_ns() {
 // profiler starts its own root — interleaved profilers stay independent.
 struct Cursor {
   const Profiler* profiler = nullptr;
-  int node = -1;
+  Profiler::Node* node = nullptr;
 };
 thread_local Cursor t_cursor;
 
+Profiler::Node* find_named(Profiler::Node* first, const char* name) {
+  for (Profiler::Node* n = first; n != nullptr; n = n->next_sibling) {
+    if (n->name == name || std::strcmp(n->name, name) == 0) return n;
+  }
+  return nullptr;
+}
+
 }  // namespace
 
-int Profiler::intern(int parent, const char* name) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    if (nodes_[i]->parent == parent &&
-        (nodes_[i]->name == name ||
-         std::strcmp(nodes_[i]->name, name) == 0)) {
-      return static_cast<int>(i);
-    }
+Profiler::Node* Profiler::intern(Node* parent, const char* name) {
+  std::atomic<Node*>& head =
+      parent != nullptr ? parent->first_child : first_root_;
+  if (Node* hit = find_named(head.load(std::memory_order_acquire), name)) {
+    return hit;
   }
-  nodes_.push_back(std::make_unique<Node>(name, parent));
-  return static_cast<int>(nodes_.size() - 1);
+  const std::lock_guard<std::mutex> lock(mu_);
+  // Another thread may have created it between the walk and the lock.
+  Node* first = head.load(std::memory_order_relaxed);
+  if (Node* hit = find_named(first, name)) return hit;
+  nodes_.push_back(std::make_unique<Node>(name, parent, nodes_.size(), first));
+  Node* node = nodes_.back().get();
+  head.store(node, std::memory_order_release);
+  return node;
 }
 
 Profiler::Scope::Scope(Profiler* profiler, const char* name) {
   if (profiler == nullptr || !profiler->enabled()) return;
   profiler_ = profiler;
-  parent_ = t_cursor.profiler == profiler ? t_cursor.node : -1;
+  parent_ = t_cursor.profiler == profiler ? t_cursor.node : nullptr;
   node_ = profiler->intern(parent_, name);
   t_cursor = Cursor{profiler, node_};
   start_ns_ = now_ns();
@@ -55,9 +81,8 @@ Profiler::Scope::Scope(Profiler* profiler, const char* name) {
 Profiler::Scope::~Scope() {
   if (profiler_ == nullptr) return;
   const std::int64_t elapsed = now_ns() - start_ns_;
-  Node& node = *profiler_->nodes_[static_cast<std::size_t>(node_)];
-  node.ns.fetch_add(elapsed, std::memory_order_relaxed);
-  node.calls.fetch_add(1, std::memory_order_relaxed);
+  node_->ns.fetch_add(elapsed, std::memory_order_relaxed);
+  node_->calls.fetch_add(1, std::memory_order_relaxed);
   t_cursor = Cursor{profiler_, parent_};
 }
 
@@ -70,14 +95,14 @@ std::vector<Profiler::Entry> Profiler::snapshot() const {
   depths.resize(nodes_.size(), 0);
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     const Node& n = *nodes_[i];
-    if (n.parent < 0) {
+    if (n.parent == nullptr) {
       paths[i] = n.name;
       depths[i] = 0;
     } else {
       // Parents are always interned before their children, so parent paths
       // are already built when we reach `i`.
-      paths[i] = paths[static_cast<std::size_t>(n.parent)] + "/" + n.name;
-      depths[i] = depths[static_cast<std::size_t>(n.parent)] + 1;
+      paths[i] = paths[n.parent->index] + "/" + n.name;
+      depths[i] = depths[n.parent->index] + 1;
     }
     out.push_back(Entry{paths[i], depths[i],
                         n.ns.load(std::memory_order_relaxed),

@@ -8,8 +8,11 @@
 // Threading: accumulation is atomic and the current-scope cursor is
 // thread-local, so shard workers (sim/shard_executor.h) and
 // bench::run_indexed seed workers can all hold scopes against the same
-// Profiler concurrently. Tree registration takes a mutex but only on first
-// sight of a (parent, name) pair; steady state is two atomic adds per scope.
+// Profiler concurrently. Entering a scope walks the parent's child list
+// without a lock; only the first sight of a (parent, name) pair takes a
+// mutex to create the node. Nodes never move or die before the Profiler, so
+// a Scope keeps a plain pointer to its node; steady state is a short
+// lock-free list walk and two atomic adds per scope.
 // `snapshot()` flattens the tree sorted by path — the *structure* is
 // deterministic for a deterministic run even though the wall durations are
 // not, and `merge_snapshots` folds per-run snapshots together in argument
@@ -31,7 +34,8 @@ namespace pds::obs {
 
 class Profiler {
  public:
-  Profiler() = default;
+  Profiler();
+  ~Profiler();
 
   Profiler(const Profiler&) = delete;
   Profiler& operator=(const Profiler&) = delete;
@@ -42,6 +46,9 @@ class Profiler {
   void set_enabled(bool enabled) {
     enabled_.store(enabled, std::memory_order_relaxed);
   }
+
+  // One scope path's accumulator (defined in profiler.cc).
+  struct Node;
 
   // RAII scope. Inert when `profiler` is null or disabled.
   class Scope {
@@ -54,8 +61,8 @@ class Profiler {
 
    private:
     Profiler* profiler_ = nullptr;
-    int node_ = -1;
-    int parent_ = -1;
+    Node* node_ = nullptr;
+    Node* parent_ = nullptr;
     std::int64_t start_ns_ = 0;
   };
 
@@ -81,22 +88,15 @@ class Profiler {
       const std::vector<Entry>& entries);
 
  private:
-  struct Node {
-    const char* name;
-    int parent;  // -1 = root
-    std::atomic<std::int64_t> ns{0};
-    std::atomic<std::uint64_t> calls{0};
-
-    Node(const char* n, int p) : name(n), parent(p) {}
-  };
-
-  // Finds or creates the child of `parent` named `name`; lock-free on the
-  // hit path (nodes are append-only and never reallocated).
-  int intern(int parent, const char* name);
+  // Finds or creates the child of `parent` (nullptr: a root) named `name`.
+  // The hit path reads only the acquire-published child list; a miss
+  // re-checks and links the new node under `mu_`.
+  Node* intern(Node* parent, const char* name);
 
   mutable std::mutex mu_;
-  // deque-like stable storage: nodes never move once created.
+  // Owns every node, in creation order; guarded by `mu_`.
   std::vector<std::unique_ptr<Node>> nodes_;
+  std::atomic<Node*> first_root_{nullptr};
   std::atomic<bool> enabled_{true};
 
   friend class Scope;

@@ -392,6 +392,52 @@ TEST(Profiler, ConcurrentScopesOnSharedProfilerStayConsistent) {
   EXPECT_EQ(entries[1].calls, 4000u);
 }
 
+// Run under TSan: threads enter existing scopes (the lock-free hit path)
+// while others create new ones under the same parents, so node creation
+// races both lookups and the accumulation of earlier scopes.
+TEST(Profiler, ConcurrentNewAndExistingScopesAreRaceFree) {
+  constexpr int kThreads = 4;
+  constexpr int kFreshPerThread = 32;
+  std::vector<std::string> names;
+  for (int i = 0; i < kThreads * kFreshPerThread; ++i) {
+    names.push_back("fresh" + std::to_string(i));
+  }
+  Profiler prof;
+  std::vector<std::thread> pool;
+  for (int w = 0; w < kThreads; ++w) {
+    pool.emplace_back([&, w] {
+      for (int i = 0; i < 400; ++i) {
+        const Profiler::Scope sim(&prof, "sim");
+        {
+          const Profiler::Scope known(&prof, "radio");
+        }
+        const auto& name = names[static_cast<std::size_t>(
+            w * kFreshPerThread + i % kFreshPerThread)];
+        const Profiler::Scope fresh(&prof, name.c_str());
+        const Profiler::Scope nested(&prof, "radio");
+      }
+    });
+  }
+  for (std::thread& t : pool) t.join();
+  const auto entries = prof.snapshot();
+  // sim, sim/radio, and per fresh name sim/<fresh> and sim/<fresh>/radio.
+  ASSERT_EQ(entries.size(), 2u + 2u * names.size());
+  std::uint64_t fresh_calls = 0;
+  std::uint64_t nested_calls = 0;
+  for (const Profiler::Entry& e : entries) {
+    if (e.path == "sim" || e.path == "sim/radio") {
+      EXPECT_EQ(e.calls, std::uint64_t{kThreads} * 400) << e.path;
+    } else if (e.depth == 1) {
+      fresh_calls += e.calls;
+    } else {
+      EXPECT_EQ(e.depth, 2) << e.path;
+      nested_calls += e.calls;
+    }
+  }
+  EXPECT_EQ(fresh_calls, std::uint64_t{kThreads} * 400);
+  EXPECT_EQ(nested_calls, std::uint64_t{kThreads} * 400);
+}
+
 TEST(Profiler, ProfileJsonLineRoundTripsThroughStatsAnalysis) {
   Profiler prof;
   {

@@ -336,11 +336,11 @@ FaultCaseOutcome run_random_fault_case(std::uint64_t seed) {
         for (const net::ContentKind kind :
              {net::ContentKind::kMetadata, net::ContentKind::kItem}) {
           for (core::LingeringQuery* lq : n->lqt().live_queries(kind, now)) {
-            for (const std::uint64_t key : lq->served_keys) {
+            lq->served_keys.for_each([&](std::uint64_t key) {
               if (lq->query->exclude.maybe_contains(key)) {
                 ++out.bloom_violations;
               }
-            }
+            });
           }
         }
       }

@@ -1,12 +1,14 @@
-// Unit and property tests for src/util: Bloom filter, leaky bucket, dedup
-// cache, GAP assignment, statistics and table printing.
+// Unit and property tests for src/util: Bloom filter, flat key set, leaky
+// bucket, dedup cache, GAP assignment, statistics and table printing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 
 #include "common/rng.h"
 #include "util/bloom_filter.h"
 #include "util/dedup_cache.h"
+#include "util/flat_key_set.h"
 #include "util/gap_assign.h"
 #include "util/leaky_bucket.h"
 #include "util/stats.h"
@@ -119,6 +121,35 @@ TEST(BloomFilter, FillRatioGrowsWithInsertions) {
 }
 
 // -- LeakyBucket ----------------------------------------------------------------
+
+// -- FlatKeySet ---------------------------------------------------------------
+
+TEST(FlatKeySet, MatchesReferenceSetThroughGrowth) {
+  FlatKeySet set;
+  std::set<std::uint64_t> ref;
+  EXPECT_EQ(set.size(), 0u);
+  EXPECT_FALSE(set.contains(0));
+  Rng rng(3);
+  for (int i = 0; i < 5000; ++i) {
+    // Small keys repeat (duplicate inserts); key 0 is the empty-slot marker.
+    const std::uint64_t key =
+        i % 3 == 0 ? static_cast<std::uint64_t>(rng.uniform_int(0, 300))
+                   : rng.next_u64();
+    EXPECT_EQ(set.insert(key), ref.insert(key).second);
+    ASSERT_EQ(set.size(), ref.size());
+  }
+  EXPECT_EQ(set.contains(0), ref.contains(0));
+  for (const std::uint64_t key : ref) EXPECT_TRUE(set.contains(key));
+  for (int i = 0; i < 1000; ++i) {
+    const std::uint64_t probe = rng.next_u64();
+    EXPECT_EQ(set.contains(probe), ref.contains(probe));
+  }
+  std::set<std::uint64_t> visited;
+  set.for_each([&](std::uint64_t key) {
+    EXPECT_TRUE(visited.insert(key).second) << "visited twice: " << key;
+  });
+  EXPECT_EQ(visited, ref);
+}
 
 TEST(LeakyBucket, DisabledPassesThrough) {
   LeakyBucket b;
