@@ -1,23 +1,26 @@
 #include "core/data_store.h"
 
+#include <algorithm>
+
 #include "common/assert.h"
 
 namespace pds::core {
 
 bool DataStore::insert_metadata(const DataDescriptor& d, bool has_payload,
                                 SimTime now, SimTime ttl) {
-  const std::uint64_t key = d.entry_key();
-  auto it = metadata_.find(key);
-  if (it == metadata_.end()) {
-    MetaRecord rec;
+  auto [it, inserted] = metadata_.try_emplace(d.entry_key());
+  MetaRecord& rec = it->second;
+  if (inserted) {
     rec.descriptor = d;
     rec.has_payload = has_payload;
-    rec.expire_at = has_payload ? SimTime::max() : now + ttl;
-    if (!has_payload) rec.cached_at = now;
-    metadata_.emplace(key, std::move(rec));
+    if (!has_payload) {
+      rec.expire_at = now + ttl;
+      rec.cached_at = now;
+      expiry_horizon_ = std::min(expiry_horizon_, rec.expire_at);
+    }
     return true;
   }
-  MetaRecord& rec = it->second;
+  // A refresh only moves expire_at later or drops it, so the horizon holds.
   const bool was_expired = rec.expired(now);
   if (has_payload) {
     rec.has_payload = true;
@@ -34,32 +37,17 @@ bool DataStore::has_metadata(std::uint64_t entry_key, SimTime now) const {
   return it != metadata_.end() && !it->second.expired(now);
 }
 
-template <typename Emit>
-void DataStore::scan_metadata(const Filter& f, SimTime now,
-                              Emit&& emit) const {
-  for (const auto& [key, rec] : metadata_) {
-    if (!rec.expired(now) && f.matches(rec.descriptor)) emit(rec);
-  }
-}
-
 std::vector<DataDescriptor> DataStore::match_metadata(const Filter& f,
                                                       SimTime now) const {
   std::vector<DataDescriptor> out;
-  scan_metadata(f, now,
-                [&](const MetaRecord& rec) { out.push_back(rec.descriptor); });
-  return out;
-}
-
-std::vector<DataStore::MetaMatch> DataStore::match_metadata_records(
-    const Filter& f, SimTime now) const {
-  std::vector<MetaMatch> out;
-  scan_metadata(f, now, [&](const MetaRecord& rec) {
-    out.push_back({rec.descriptor, rec.has_payload, rec.cached_at});
+  for_each_metadata(f, now, [&](std::uint64_t, const MetaRecord& rec) {
+    out.push_back(rec.descriptor);
   });
   return out;
 }
 
 std::size_t DataStore::metadata_count(SimTime now) const {
+  if (now < expiry_horizon_) return metadata_.size();
   std::size_t n = 0;
   for (const auto& [key, rec] : metadata_) {
     if (!rec.expired(now)) ++n;
@@ -133,6 +121,7 @@ void DataStore::evict_cached_chunks_if_needed(SimTime now) {
     if (auto meta = metadata_.find(key); meta != metadata_.end()) {
       meta->second.has_payload = false;
       meta->second.expire_at = now + eviction_metadata_ttl_;
+      expiry_horizon_ = std::min(expiry_horizon_, meta->second.expire_at);
     }
     PDS_ENSURE(cached_chunk_bytes_ >= victim->second.payload.size_bytes);
     cached_chunk_bytes_ -= victim->second.payload.size_bytes;
@@ -187,9 +176,28 @@ std::vector<net::ItemPayload> DataStore::match_items(const Filter& f,
 std::size_t DataStore::item_count() const { return items_.size(); }
 
 void DataStore::sweep(SimTime now) {
+  if (now < expiry_horizon_) return;
+  expiry_horizon_ = SimTime::max();
   for (auto it = metadata_.begin(); it != metadata_.end();) {
-    it = it->second.expired(now) ? metadata_.erase(it) : std::next(it);
+    const MetaRecord& rec = it->second;
+    if (rec.expired(now)) {
+      it = metadata_.erase(it);
+      continue;
+    }
+    if (!rec.has_payload) {
+      expiry_horizon_ = std::min(expiry_horizon_, rec.expire_at);
+    }
+    ++it;
   }
+}
+
+void DataStore::clear() {
+  metadata_.clear();
+  meta_nodes_.release();
+  expiry_horizon_ = SimTime::max();
+  chunks_.clear();
+  items_.clear();
+  cached_chunk_bytes_ = 0;
 }
 
 }  // namespace pds::core

@@ -15,11 +15,14 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
+#include "common/arena.h"
 #include "common/sim_time.h"
 #include "common/types.h"
 #include "core/descriptor.h"
@@ -48,20 +51,53 @@ class DataStore {
   bool insert_metadata(const DataDescriptor& d, bool has_payload, SimTime now,
                        SimTime ttl);
   [[nodiscard]] bool has_metadata(std::uint64_t entry_key, SimTime now) const;
+  // Loads the hash bucket of each entry and prefetches its first record.
+  // Inserting a response's entries one by one makes each lookup wait for
+  // its own cache misses; touched together first, the misses overlap and
+  // the inserts then hit in cache. Changes no state.
+  void prefetch_metadata(std::span<const DataDescriptor> entries) const {
+    for (const DataDescriptor& d : entries) {
+      const auto it = metadata_.begin(metadata_.bucket(d.entry_key()));
+      if (it != metadata_.end(0)) __builtin_prefetch(&*it);
+    }
+  }
+
+  // One cached metadata entry. Besides the descriptor it keeps the caching
+  // provenance serve-time suppression (`entry_serve_cooldown`, DESIGN.md
+  // §16) needs: whether this node holds the payload (publisher/retriever
+  // copy) and, for cached-only copies, when the copy last arrived off the
+  // air.
+  struct MetaRecord {
+    DataDescriptor descriptor;
+    bool has_payload = false;
+    SimTime expire_at = SimTime::max();
+    // Last time a cached-only copy of this entry arrived off the air
+    // (relayed or overheard response). Meaningless once payload-backed.
+    SimTime cached_at = SimTime::zero();
+
+    [[nodiscard]] bool expired(SimTime now) const {
+      return !has_payload && expire_at <= now;
+    }
+  };
+
+  // Calls fn(entry_key, record) for every unexpired entry the filter
+  // matches, in place and in the map's iteration order, copying nothing;
+  // `fn` must not modify the store.
+  template <typename Fn>
+  void for_each_metadata(const Filter& f, SimTime now, Fn&& fn) const {
+    const bool match_all = f.match_all();
+    for (const auto& [key, rec] : metadata_) {
+      if (rec.expired(now)) continue;
+      if (!match_all && !f.matches(rec.descriptor)) continue;
+      fn(key, rec);
+    }
+  }
+
   // All unexpired entries matching the filter.
   [[nodiscard]] std::vector<DataDescriptor> match_metadata(const Filter& f,
                                                            SimTime now) const;
-  // Matching entries with their caching provenance: whether this node holds
-  // the payload (publisher/retriever copy) and, for cached-only copies, when
-  // the copy last arrived off the air. Serve-time suppression
-  // (`entry_serve_cooldown`, DESIGN.md §16) needs both.
-  struct MetaMatch {
-    DataDescriptor descriptor;
-    bool has_payload = false;
-    SimTime cached_at = SimTime::zero();
-  };
-  [[nodiscard]] std::vector<MetaMatch> match_metadata_records(
-      const Filter& f, SimTime now) const;
+  // Unexpired entries; O(1) until the first cached-only entry may have
+  // expired.
   [[nodiscard]] std::size_t metadata_count(SimTime now) const;
 
   // -- Chunks ------------------------------------------------------------
@@ -102,27 +138,9 @@ class DataStore {
 
   // Crash-with-wipe fault semantics: the process's entire store is gone.
   // Cache limits and eviction policy survive (they are configuration).
-  void clear() {
-    metadata_.clear();
-    chunks_.clear();
-    items_.clear();
-    cached_chunk_bytes_ = 0;
-  }
+  void clear();
 
  private:
-  struct MetaRecord {
-    DataDescriptor descriptor;
-    bool has_payload = false;
-    SimTime expire_at = SimTime::max();
-    // Last time a cached-only copy of this entry arrived off the air
-    // (relayed or overheard response). Meaningless once payload-backed.
-    SimTime cached_at = SimTime::zero();
-
-    [[nodiscard]] bool expired(SimTime now) const {
-      return !has_payload && expire_at <= now;
-    }
-  };
-
   struct ChunkRecord {
     net::ChunkPayload payload;
     DataDescriptor item_descriptor;
@@ -131,14 +149,23 @@ class DataStore {
     std::uint64_t accesses = 0;     // popularity
   };
 
-  // The one metadata scan behind match_metadata and match_metadata_records:
-  // calls `emit(record)` for every unexpired record the filter matches.
-  template <typename Emit>
-  void scan_metadata(const Filter& f, SimTime now, Emit&& emit) const;
-
   void evict_cached_chunks_if_needed(SimTime now);
 
-  std::unordered_map<std::uint64_t, MetaRecord> metadata_;
+  // The records live in the store's own slab pool (DESIGN.md §19); libstdc++
+  // iteration order depends only on the bucket count and the insert/erase
+  // sequence, never on node addresses, so this changes no outcome.
+  // `meta_nodes_` must outlive `metadata_`, hence declared first.
+  using MetaMap = std::unordered_map<
+      std::uint64_t, MetaRecord, std::hash<std::uint64_t>,
+      std::equal_to<std::uint64_t>,
+      SlabAllocator<std::pair<const std::uint64_t, MetaRecord>>>;
+  SlabPool meta_nodes_;
+  MetaMap metadata_ = MetaMap(MetaMap::allocator_type(meta_nodes_));
+  // No cached-only record expires before this time: a lower bound on their
+  // earliest expire_at, exact after each full sweep, max when there are
+  // none. While `now` is below it nothing can have expired, so sweep() and
+  // metadata_count() skip their walks.
+  SimTime expiry_horizon_ = SimTime::max();
   std::map<std::pair<ItemId, ChunkIndex>, ChunkRecord> chunks_;
   std::unordered_map<std::uint64_t, net::ItemPayload> items_;
 

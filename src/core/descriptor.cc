@@ -194,10 +194,6 @@ DataDescriptor DataDescriptor::item_descriptor() const {
 
 ItemId DataDescriptor::item_id() const { return ItemId(identity().item_id); }
 
-std::uint64_t DataDescriptor::entry_key() const {
-  return identity().entry_key;
-}
-
 void DataDescriptor::encode(ByteWriter& w) const {
   write_canonical(w, attributes());
 }

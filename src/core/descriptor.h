@@ -134,6 +134,15 @@ class DataDescriptor {
   Rep* rep_ = nullptr;
 };
 
+// Inline so the memoized case costs two loads, not a call: every cached or
+// relayed entry asks for its key several times per hop.
+inline std::uint64_t DataDescriptor::entry_key() const {
+  if (rep_ != nullptr && rep_->memo_ready.load(std::memory_order_acquire)) {
+    return rep_->entry_key.load(std::memory_order_relaxed);
+  }
+  return identity().entry_key;
+}
+
 inline void DataDescriptor::release() noexcept {
   if (rep_ != nullptr &&
       rep_->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {

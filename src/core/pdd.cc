@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <unordered_set>
 #include <utility>
 
 #include "common/assert.h"
@@ -25,10 +24,10 @@ bool is_pdd_kind(net::ContentKind kind) {
 // by the consumer per the query's Bloom filter)
 bool wants(const LingeringQuery& lq, const DataDescriptor& d,
            std::uint64_t key) {
-  if (!lq.query->filter.matches(d)) return false;
   if (lq.served_keys.contains(key)) return false;
   if (lq.exclude.maybe_contains(key)) return false;
-  return true;
+  const Filter& filter = lq.query->filter;
+  return filter.match_all() || filter.matches(d);
 }
 
 void mark_served(LingeringQuery& lq, std::uint64_t key, bool bloom_rewriting) {
@@ -37,15 +36,21 @@ void mark_served(LingeringQuery& lq, std::uint64_t key, bool bloom_rewriting) {
 }
 
 // Builds a copy of `r` whose payload is restricted to the given indices
-// (sorted). Used both for pruned relays and local delivery.
+// (sorted). Used both for pruned relays and local delivery. Only the kept
+// entries are copied: the header is copied whole, and net::Message adds
+// nothing to its header but the payload fields handled here (message.h
+// asserts that).
 net::Message prune_payload(const net::Message& r,
                            const std::vector<std::size_t>& keep) {
-  net::Message out = r;
+  net::Message out;
+  static_cast<net::MessageHeader&>(out) = r;
+  out.cdi = r.cdi;
+  out.chunk = r.chunk;
   if (r.kind == net::ContentKind::kMetadata) {
-    out.metadata.clear();
+    out.metadata.reserve(keep.size());
     for (std::size_t i : keep) out.metadata.push_back(r.metadata[i]);
   } else {
-    out.items.clear();
+    out.items.reserve(keep.size());
     for (std::size_t i : keep) out.items.push_back(r.items[i]);
   }
   return out;
@@ -137,25 +142,28 @@ void PddEngine::serve_from_store(LingeringQuery& lq) {
   const PdsConfig& cfg = ctx_.config;
 
   if (q.kind == net::ContentKind::kMetadata) {
+    // The checks run on the record in place; only entries actually served
+    // are copied out.
     std::vector<DataDescriptor> fresh;
-    for (DataStore::MetaMatch& m :
-         ctx_.store.match_metadata_records(q.filter, now)) {
-      const std::uint64_t key = m.descriptor.entry_key();
-      if (lq.served_keys.contains(key) || lq.exclude.maybe_contains(key)) {
-        continue;
-      }
-      // Serve cooldown (DESIGN.md §16): a cached-only copy that just came
-      // off the air is still in flight toward its consumer through the node
-      // it was heard from; re-serving it from every cache along the path
-      // multiplies response traffic. Publisher copies are never suppressed,
-      // so a lost in-flight copy is recovered by the next round's filter
-      // gap.
-      if (!m.has_payload &&
-          now < m.cached_at + cfg.entry_serve_cooldown) {
-        continue;
-      }
-      fresh.push_back(std::move(m.descriptor));
-    }
+    ctx_.store.for_each_metadata(
+        q.filter, now,
+        [&](std::uint64_t key, const DataStore::MetaRecord& rec) {
+          if (lq.served_keys.contains(key) ||
+              lq.exclude.maybe_contains(key)) {
+            return;
+          }
+          // Serve cooldown (DESIGN.md §16): a cached-only copy that just
+          // came off the air is still in flight toward its consumer through
+          // the node it was heard from; re-serving it from every cache along
+          // the path multiplies response traffic. Publisher copies are never
+          // suppressed, so a lost in-flight copy is recovered by the next
+          // round's filter gap.
+          if (!rec.has_payload &&
+              now < rec.cached_at + cfg.entry_serve_cooldown) {
+            return;
+          }
+          fresh.push_back(rec.descriptor);
+        });
     for (std::size_t begin = 0; begin < fresh.size();
          begin += cfg.max_entries_per_response) {
       const std::size_t end =
@@ -335,6 +343,7 @@ void PddEngine::handle_response(const net::MessagePtr& response) {
 
   // {DS Lookup} — opportunistic caching, including overheard responses.
   if (addressed || cfg.enable_overhearing_cache) {
+    ctx_.store.prefetch_metadata(response->metadata);
     for (const DataDescriptor& d : response->metadata) {
       ctx_.store.insert_metadata(d, /*has_payload=*/false, now,
                                  cfg.metadata_ttl);
@@ -356,8 +365,8 @@ void PddEngine::handle_response(const net::MessagePtr& response) {
   };
 
   std::vector<NodeId> relay_receivers;
-  std::vector<std::size_t> relay_union;
-  std::unordered_set<std::size_t> relay_union_set;
+  // Payload positions some relayed query still needs.
+  std::vector<bool> in_relay;
 
   for (LingeringQuery* lq : ctx_.lqt.live_queries(response->kind, now)) {
     if (lq->upstream == response->sender) continue;  // never bounce back
@@ -384,9 +393,8 @@ void PddEngine::handle_response(const net::MessagePtr& response) {
     }
     if (cfg.enable_mixedcast) {
       relay_receivers.push_back(lq->upstream);
-      for (std::size_t i : needed) {
-        if (relay_union_set.insert(i).second) relay_union.push_back(i);
-      }
+      in_relay.resize(keys.size());
+      for (std::size_t i : needed) in_relay[i] = true;
     } else {
       // Ablation: one response per matching query, fresh id each (no joint
       // payload, no shared redundancy detection across paths).
@@ -405,7 +413,10 @@ void PddEngine::handle_response(const net::MessagePtr& response) {
     relay_receivers.erase(
         std::unique(relay_receivers.begin(), relay_receivers.end()),
         relay_receivers.end());
-    std::sort(relay_union.begin(), relay_union.end());
+    std::vector<std::size_t> relay_union;
+    for (std::size_t i = 0; i < in_relay.size(); ++i) {
+      if (in_relay[i]) relay_union.push_back(i);
+    }
     PDS_TRACE_INSTANT(ctx_.sim.tracer(), now, ctx_.self, "pdd", "mixedcast",
                       {"receivers", relay_receivers.size()},
                       {"union", relay_union.size()});

@@ -107,7 +107,11 @@ struct TraceContext {
   friend bool operator==(const TraceContext&, const TraceContext&) = default;
 };
 
-struct Message : sim::FramePayload {
+// Every field of a message except its entry payload. Relays that forward a
+// subset of a response's entries copy the header whole and then only the
+// entries they keep (PddEngine's pruned relays), so any field that is not
+// payload belongs here.
+struct MessageHeader : sim::FramePayload {
   MessageType type = MessageType::kQuery;
   ContentKind kind = ContentKind::kMetadata;
 
@@ -133,11 +137,6 @@ struct Message : sim::FramePayload {
   std::optional<BloomDeltaFrame> exclude_delta;
   std::vector<ChunkIndex> requested_chunks;      // chunk queries
 
-  std::vector<core::DataDescriptor> metadata;    // metadata responses
-  std::vector<CdiEntry> cdi;                     // CDI responses
-  std::optional<ChunkPayload> chunk;             // chunk responses
-  std::vector<ItemPayload> items;                // item responses
-
   // Acks: ids of the acknowledged packets. Receivers batch acks for a few
   // milliseconds and send one control frame (delayed-ack aggregation); under
   // saturation hundreds of per-packet ack frames would otherwise starve in
@@ -148,6 +147,14 @@ struct Message : sim::FramePayload {
   // Causal trace context (see TraceContext above). Never consulted by
   // protocol logic — only by trace emission and, when enabled, the codec.
   TraceContext trace;
+};
+
+struct Message : MessageHeader {
+  // The payload, and nothing else (see the static_assert below).
+  std::vector<core::DataDescriptor> metadata;    // metadata responses
+  std::vector<CdiEntry> cdi;                     // CDI responses
+  std::optional<ChunkPayload> chunk;             // chunk responses
+  std::vector<ItemPayload> items;                // item responses
 
   [[nodiscard]] bool is_query() const { return type == MessageType::kQuery; }
   [[nodiscard]] bool is_response() const {
@@ -165,6 +172,13 @@ struct Message : sim::FramePayload {
 
   [[nodiscard]] bool addressed_to(NodeId id) const;
 };
+
+// A field added to Message instead of MessageHeader would be dropped by
+// copies that rebuild the payload; this fails the build instead.
+static_assert(sizeof(Message) ==
+              sizeof(MessageHeader) + sizeof(Message::metadata) +
+                  sizeof(Message::cdi) + sizeof(Message::chunk) +
+                  sizeof(Message::items));
 
 using MessagePtr = std::shared_ptr<const Message>;
 

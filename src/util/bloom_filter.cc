@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 
 #include "common/assert.h"
 #include "common/bytes.h"
@@ -14,6 +15,7 @@ BloomFilter::BloomFilter(std::size_t bits, std::uint32_t hash_count,
                          std::uint64_t seed)
     : bits_((bits + 63) / 64, 0), hash_count_(hash_count), seed_(seed) {
   PDS_ENSURE(bits > 0);
+  PDS_ENSURE(bit_count() <= std::numeric_limits<std::uint32_t>::max());
   PDS_ENSURE(hash_count > 0);
 }
 
@@ -31,32 +33,43 @@ BloomFilter BloomFilter::with_capacity(std::size_t expected_items, double fpp,
   return BloomFilter(std::max<std::size_t>(bits, 64), hashes, seed);
 }
 
-std::size_t BloomFilter::bit_index(std::uint64_t key, std::uint32_t i) const {
-  // Kirsch–Mitzenmacher double hashing: h_i = h1 + i * h2, with both halves
-  // derived from the (key, seed) pair so each round's family is independent.
+std::pair<std::uint64_t, std::uint64_t> BloomFilter::double_hash(
+    std::uint64_t key) const {
+  // Kirsch–Mitzenmacher double hashing: probe i is bit (h1 + i * h2) mod m,
+  // with both halves derived from the (key, seed) pair so each round's
+  // family is independent.
   const std::uint64_t h1 = mix64(key ^ seed_);
   const std::uint64_t h2 = mix64(h1 ^ 0x5851f42d4c957f2dULL) | 1;
-  return static_cast<std::size_t>((h1 + i * h2) % bit_count());
+  return {h1, h2};
 }
 
 void BloomFilter::insert(std::uint64_t key) {
   PDS_ENSURE(!empty_filter());
+  const auto [h1, h2] = double_hash(key);
+  const std::size_t m = bit_count();
   for (std::uint32_t i = 0; i < hash_count_; ++i) {
-    const std::size_t b = bit_index(key, i);
-    bits_[b / 64] |= (std::uint64_t{1} << (b % 64));
+    const auto b = static_cast<std::size_t>((h1 + i * h2) % m);
+    std::uint64_t& word = bits_[b / 64];
+    const std::uint64_t mask = std::uint64_t{1} << (b % 64);
+    if ((word & mask) == 0) ++set_bits_;
+    word |= mask;
   }
   ++inserted_;
 }
 
 void BloomFilter::set_word(std::size_t index, std::uint64_t value) {
   PDS_ENSURE(index < bits_.size());
+  set_bits_ -= static_cast<std::uint32_t>(std::popcount(bits_[index]));
+  set_bits_ += static_cast<std::uint32_t>(std::popcount(value));
   bits_[index] = value;
 }
 
 bool BloomFilter::maybe_contains(std::uint64_t key) const {
   if (empty_filter()) return false;
+  const auto [h1, h2] = double_hash(key);
+  const std::size_t m = bit_count();
   for (std::uint32_t i = 0; i < hash_count_; ++i) {
-    const std::size_t b = bit_index(key, i);
+    const auto b = static_cast<std::size_t>((h1 + i * h2) % m);
     if ((bits_[b / 64] & (std::uint64_t{1} << (b % 64))) == 0) return false;
   }
   return true;
@@ -69,9 +82,7 @@ std::size_t BloomFilter::wire_size() const {
 
 double BloomFilter::fill_ratio() const {
   if (empty_filter()) return 0.0;
-  std::size_t set = 0;
-  for (std::uint64_t word : bits_) set += std::popcount(word);
-  return static_cast<double>(set) / static_cast<double>(bit_count());
+  return static_cast<double>(set_bits_) / static_cast<double>(bit_count());
 }
 
 void BloomFilter::encode(std::vector<std::byte>& out) const {
@@ -110,7 +121,10 @@ BloomFilter BloomFilter::decode(std::span<const std::byte> in) {
     throw DecodeError("Bloom filter body exceeds buffer");
   }
   BloomFilter f(bits, hashes, seed);
-  for (auto& word : f.bits_) word = r.get_u64();
+  for (auto& word : f.bits_) {
+    word = r.get_u64();
+    f.set_bits_ += static_cast<std::uint32_t>(std::popcount(word));
+  }
   return f;
 }
 

@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace pds::util {
@@ -46,22 +47,27 @@ class BloomFilter {
   // Raw 64-bit block access for the delta-sync wire path (net/bloom_delta.h):
   // a frame patches individual words of a base filter instead of re-shipping
   // the whole bit array. `set_word` does not touch inserted_count(), which
-  // only tracks keys added through insert().
+  // only tracks keys added through insert(); it does keep the set-bit count.
   [[nodiscard]] std::span<const std::uint64_t> words() const { return bits_; }
   void set_word(std::size_t index, std::uint64_t value);
 
-  // Fraction of bits set; diagnostic for tests.
+  // Fraction of bits set, from a count kept up to date by every write, so
+  // O(1); the flight recorder samples it for every lingering query.
   [[nodiscard]] double fill_ratio() const;
 
   void encode(std::vector<std::byte>& out) const;
   static BloomFilter decode(std::span<const std::byte> in);
 
  private:
-  [[nodiscard]] std::size_t bit_index(std::uint64_t key,
-                                      std::uint32_t i) const;
+  // (h1, h2) of the double-hashing probe sequence for `key`.
+  [[nodiscard]] std::pair<std::uint64_t, std::uint64_t> double_hash(
+      std::uint64_t key) const;
 
   std::vector<std::uint64_t> bits_;
   std::uint32_t hash_count_ = 0;
+  // Popcount of bits_. 32 bits, like the wire's bit count, so it fits in
+  // padding and a filter stays as large as it was without the count.
+  std::uint32_t set_bits_ = 0;
   std::uint64_t seed_ = 0;
   std::size_t inserted_ = 0;
 };

@@ -1,20 +1,25 @@
-// Allocation guard for the shared descriptor representation (DESIGN.md
-// §18). This binary replaces the global allocation functions with counting
-// ones, as bench/ledger/heap_meter.cc does, and asserts that the operations
-// the PDD hot path repeats per cached copy allocate nothing: copying a
-// descriptor, copying a metadata response's entries, computing identity and
-// re-inserting an entry the store already holds.
+// Allocation guards for the shared descriptor representation (DESIGN.md
+// §18) and the store layout (§19). This binary replaces the global
+// allocation functions with counting ones, as bench/ledger/heap_meter.cc
+// does, and asserts that the operations the PDD hot path repeats per cached
+// copy allocate nothing: copying a descriptor, copying a metadata response's
+// entries, computing identity, re-inserting an entry the store already holds
+// and walking past entries a query does not want; and that new records are
+// allocated per slab, not one by one.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <string>
 #include <vector>
 
 #include "core/data_store.h"
 #include "core/descriptor.h"
+#include "core/pdd.h"
 #include "net/message.h"
+#include "workload/scenario.h"
 
 namespace {
 
@@ -126,6 +131,60 @@ TEST(DescriptorAlloc, ReinsertingAHeldEntryDoesNotAllocate) {
   EXPECT_EQ(n, 0u);
   EXPECT_EQ(inserted, 0);
   EXPECT_TRUE(store.has_metadata(d.entry_key(), SimTime::minutes(60.0)));
+}
+
+TEST(StoreAlloc, InsertingNewEntriesAllocatesPerSlabNotPerRecord) {
+  std::vector<DataDescriptor> entries;
+  for (int i = 0; i < 1000; ++i) {
+    entries.push_back(six_attribute_descriptor(i));
+    (void)entries.back().entry_key();  // identity memo filled outside
+  }
+  DataStore store;
+  const std::size_t n = allocations_of([&] {
+    for (const DataDescriptor& d : entries) {
+      store.insert_metadata(d, false, SimTime::zero(), SimTime::seconds(30.0));
+    }
+  });
+  EXPECT_EQ(store.metadata_count(SimTime::zero()), 1000u);
+  // The slabs plus the hash table's bucket arrays: about thirty. One heap
+  // node per record would be over a thousand.
+  EXPECT_LE(n, 40u);
+}
+
+// Allocations made by one node installing (and serving) a lingering query
+// whose exclude filter holds every one of the node's `stored` entries, so
+// the serve walk visits them all and sends nothing.
+std::size_t allocations_to_serve_nothing_new(int stored) {
+  PdsConfig pds;
+  wl::Scenario sc(1, sim::clean_radio_profile());
+  PdsNode& node = sc.add_node(NodeId(0), {0.0, 0.0}, pds);
+  auto query = std::make_shared<net::Message>();
+  query->type = net::MessageType::kQuery;
+  query->kind = net::ContentKind::kMetadata;
+  query->query_id = QueryId(77);
+  query->sender = NodeId(1);
+  query->ttl = 1;  // install and serve here, forward nowhere
+  query->expire_at = SimTime::seconds(60.0);
+  query->exclude = util::BloomFilter::with_capacity(
+      static_cast<std::size_t>(stored), 0.01, 5);
+  for (int i = 0; i < stored; ++i) {
+    const DataDescriptor d = six_attribute_descriptor(i);
+    node.publish_metadata(d);
+    query->exclude.insert(d.entry_key());
+  }
+  PddEngine engine(node.context());
+  const std::size_t n = allocations_of([&] { engine.handle_query(query); });
+  const LingeringQuery* lq = node.lqt().find(QueryId(77));
+  EXPECT_TRUE(lq != nullptr && lq->served_keys.size() == 0);
+  return n;
+}
+
+// The serve walk checks served keys, the exclude filter and the cooldown on
+// each record in place and copies only what it serves, so a query that
+// wants nothing costs the same allocations at any store size.
+TEST(StoreAlloc, ServingAQueryThatWantsNothingAllocatesTheSameAtAnySize) {
+  EXPECT_EQ(allocations_to_serve_nothing_new(1000),
+            allocations_to_serve_nothing_new(4000));
 }
 
 }  // namespace

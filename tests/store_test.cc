@@ -1,12 +1,28 @@
 // Tests for per-node protocol state: DataStore (metadata/chunk/item
-// semantics and expiration), LingeringQueryTable, CdiTable.
+// semantics and expiration, and the layout invariants of DESIGN.md §19),
+// LingeringQueryTable, CdiTable.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <map>
 #include <memory>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
+#include "common/rng.h"
 #include "core/cdi_table.h"
 #include "core/data_store.h"
 #include "core/lingering_query_table.h"
+
+#if defined(__SANITIZE_ADDRESS__)
+#define PDS_TEST_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define PDS_TEST_ASAN 1
+#endif
+#endif
 
 namespace pds::core {
 namespace {
@@ -90,6 +106,231 @@ TEST(DataStore, SweepRemovesExpired) {
   store.insert_metadata(entry(100), true, SimTime::zero(), SimTime::zero());
   store.sweep(SimTime::seconds(2.0));
   EXPECT_EQ(store.metadata_count(SimTime::seconds(2.0)), 1u);
+}
+
+// -- DataStore: layout invariants (DESIGN.md §19) ----------------------------
+
+// Drives a DataStore through a seeded random sequence of metadata inserts
+// (new and refreshed keys, cached-only and payload-backed), chunk inserts
+// whose LRU cache evictions demote records to cached-only, sweeps, clear()
+// and clock advances, next to two references:
+//  * `order`: a std::unordered_map with std::allocator given the same
+//    inserts and erases, whose iteration order the store's must equal;
+//  * `model`: each key's expiry state, kept by rules that always walk.
+class StoreSequence {
+ public:
+  struct Rec {
+    bool has_payload = false;
+    SimTime expire_at = SimTime::max();
+    [[nodiscard]] bool expired(SimTime now) const {
+      return !has_payload && expire_at <= now;
+    }
+  };
+
+  explicit StoreSequence(std::uint64_t seed) : rng_(seed) {
+    for (int i = 0; i < 600; ++i) entries_.push_back(entry(i));
+    for (int i = 0; i < 3; ++i) {
+      DataDescriptor item = chunked_item(8);
+      item.set("seq", std::int64_t{i});
+      items_.push_back(item);
+    }
+    store.set_chunk_cache_limit(3 * kChunkBytes, ChunkEvictionPolicy::kLru,
+                                kEvictionTtl);
+  }
+
+  void step() {
+    // Every 300 steps, switch between mostly cached-only inserts and
+    // payload-backed ones only; in the latter phases the horizon is set by
+    // evictions alone.
+    if (++steps_ % 300 == 0) payload_share_ = payload_share_ < 1.0 ? 1.0 : 0.2;
+    const std::int64_t op = rng_.uniform_int(0, 999);
+    if (op < 550) {
+      insert_metadata();
+    } else if (op < 700) {
+      insert_chunk();
+    } else if (op < 800) {
+      store.sweep(now);
+      std::vector<std::uint64_t> gone;
+      for (const auto& [key, rec] : model) {
+        if (rec.expired(now)) gone.push_back(key);
+      }
+      for (std::uint64_t key : gone) {
+        model.erase(key);
+        order.erase(key);
+      }
+    } else if (op < 998) {
+      now += SimTime::millis(rng_.uniform_int(0, 500));
+    } else {
+      store.clear();
+      order.clear();
+      model.clear();
+      cached_chunks_.clear();
+    }
+  }
+
+  // Keys for_each_metadata visits, in visiting order.
+  [[nodiscard]] std::vector<std::uint64_t> visited() const {
+    std::vector<std::uint64_t> keys;
+    store.for_each_metadata(
+        Filter{}, now, [&](std::uint64_t key, const DataStore::MetaRecord&) {
+          keys.push_back(key);
+        });
+    return keys;
+  }
+
+  // Unexpired keys in the reference map's iteration order.
+  [[nodiscard]] std::vector<std::uint64_t> expected_order() const {
+    std::vector<std::uint64_t> keys;
+    for (const auto& [key, unused] : order) {
+      if (!model.at(key).expired(now)) keys.push_back(key);
+    }
+    return keys;
+  }
+
+  [[nodiscard]] std::size_t expected_count() const {
+    std::size_t n = 0;
+    for (const auto& [key, rec] : model) n += rec.expired(now) ? 0 : 1;
+    return n;
+  }
+
+  [[nodiscard]] const std::vector<DataDescriptor>& entries() const {
+    return entries_;
+  }
+
+  DataStore store;
+  std::unordered_map<std::uint64_t, int> order;
+  std::map<std::uint64_t, Rec> model;
+  SimTime now = SimTime::zero();
+
+ private:
+  static constexpr std::uint32_t kChunkBytes = 100;
+  static constexpr SimTime kEvictionTtl = SimTime::seconds(5.0);
+
+  void insert_metadata() {
+    const DataDescriptor& d = rng_.pick(entries_);
+    const bool has_payload = rng_.bernoulli(payload_share_);
+    const SimTime ttl = SimTime::millis(rng_.uniform_int(500, 15000));
+    const std::uint64_t key = d.entry_key();
+    bool expected = true;
+    if (auto it = model.find(key); it == model.end()) {
+      model[key] = {has_payload, has_payload ? SimTime::max() : now + ttl};
+    } else {
+      Rec& rec = it->second;
+      expected = rec.expired(now);
+      if (has_payload) {
+        rec = {true, SimTime::max()};
+      } else if (!rec.has_payload) {
+        rec.expire_at = std::max(rec.expire_at, now + ttl);
+      }
+    }
+    order.emplace(key, 0);
+    EXPECT_EQ(store.insert_metadata(d, has_payload, now, ttl), expected);
+  }
+
+  // The cache holds three chunks; a fourth evicts the least recently
+  // inserted, whose record then expires kEvictionTtl later.
+  void insert_chunk() {
+    const std::size_t item = static_cast<std::size_t>(rng_.uniform_int(0, 2));
+    const auto index = static_cast<ChunkIndex>(rng_.uniform_int(0, 7));
+    const std::pair<std::size_t, ChunkIndex> id{item, index};
+    store.insert_chunk(items_[item], index,
+                       net::ChunkPayload{.index = index,
+                                         .size_bytes = kChunkBytes,
+                                         .content_hash = 1},
+                       now);
+    if (auto it = std::find(cached_chunks_.begin(), cached_chunks_.end(), id);
+        it != cached_chunks_.end()) {
+      cached_chunks_.erase(it);  // a re-insert only refreshes recency
+      cached_chunks_.push_back(id);
+      return;
+    }
+    cached_chunks_.push_back(id);
+    const std::uint64_t key = items_[item].chunk_descriptor(index).entry_key();
+    model[key] = {true, SimTime::max()};
+    order.emplace(key, 0);
+    if (cached_chunks_.size() > 3) {
+      const auto [victim_item, victim_index] = cached_chunks_.front();
+      cached_chunks_.pop_front();
+      model[items_[victim_item].chunk_descriptor(victim_index).entry_key()] = {
+          false, now + kEvictionTtl};
+    }
+  }
+
+  Rng rng_;
+  int steps_ = 0;
+  double payload_share_ = 0.2;
+  std::vector<DataDescriptor> entries_;
+  std::vector<DataDescriptor> items_;
+  std::deque<std::pair<std::size_t, ChunkIndex>> cached_chunks_;  // LRU first
+};
+
+// Outcomes stay bit-identical only because the store's records iterate in
+// exactly the order a std::allocator map would give them: node addresses
+// never decide libstdc++'s order, only the bucket count and the insert and
+// erase sequence do.
+TEST(DataStoreLayout, IterationOrderMatchesAStdAllocatorMap) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    StoreSequence run(seed);
+    for (int step = 0; step < 2000; ++step) {
+      run.step();
+      ASSERT_EQ(run.visited(), run.expected_order())
+          << "seed " << seed << " step " << step;
+    }
+  }
+}
+
+// The expiry horizon lets sweep() and metadata_count() skip their walks; it
+// must never skip a record that has expired.
+TEST(DataStoreLayout, ExpiryHorizonMatchesAWalkingReference) {
+  for (std::uint64_t seed = 11; seed <= 14; ++seed) {
+    StoreSequence run(seed);
+    for (int step = 0; step < 2000; ++step) {
+      run.step();
+      ASSERT_EQ(run.store.metadata_count(run.now), run.expected_count())
+          << "seed " << seed << " step " << step;
+      std::vector<std::uint64_t> visited = run.visited();
+      std::sort(visited.begin(), visited.end());
+      std::vector<std::uint64_t> live;
+      for (const auto& [key, rec] : run.model) {
+        EXPECT_EQ(run.store.has_metadata(key, run.now), !rec.expired(run.now))
+            << "seed " << seed << " step " << step;
+        if (!rec.expired(run.now)) live.push_back(key);
+      }
+      ASSERT_EQ(visited, live) << "seed " << seed << " step " << step;
+      const std::uint64_t absent = run.entries().front().entry_key();
+      if (!run.model.contains(absent)) {
+        EXPECT_FALSE(run.store.has_metadata(absent, run.now));
+      }
+    }
+  }
+}
+
+// A record's slot is poisoned once sweep() erases it, so a dangling read is
+// an ASan report rather than a silent read of recycled memory.
+TEST(DataStoreLayoutDeathTest, ReadingASweptRecordIsReported) {
+#ifndef PDS_TEST_ASAN
+  GTEST_SKIP() << "needs AddressSanitizer";
+#else
+  EXPECT_DEATH(
+      {
+        DataStore store;
+        store.insert_metadata(entry(1), false, SimTime::zero(),
+                              SimTime::seconds(1.0));
+        store.insert_metadata(entry(2), true, SimTime::zero(),
+                              SimTime::zero());
+        const bool* has_payload = nullptr;
+        const std::uint64_t doomed = entry(1).entry_key();
+        store.for_each_metadata(
+            Filter{}, SimTime::zero(),
+            [&](std::uint64_t key, const DataStore::MetaRecord& rec) {
+              if (key == doomed) has_payload = &rec.has_payload;
+            });
+        store.sweep(SimTime::seconds(2.0));
+        const volatile bool read = *has_payload;
+        (void)read;
+      },
+      "use-after-poison");
+#endif
 }
 
 // -- DataStore: chunks ---------------------------------------------------------

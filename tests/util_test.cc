@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <set>
 
 #include "common/rng.h"
@@ -118,6 +119,37 @@ TEST(BloomFilter, FillRatioGrowsWithInsertions) {
   EXPECT_GT(f.fill_ratio(), half);
   // At design capacity the fill ratio should be near 50%.
   EXPECT_NEAR(f.fill_ratio(), 0.5, 0.05);
+}
+
+// fill_ratio() reads a set-bit count kept by insert, set_word and decode;
+// after each it must equal a popcount of the words.
+TEST(BloomFilter, FillRatioCountsBitsThroughEveryWrite) {
+  const auto popcount_ratio = [](const BloomFilter& f) {
+    std::size_t set = 0;
+    for (std::uint64_t word : f.words()) {
+      set += static_cast<std::size_t>(std::popcount(word));
+    }
+    return static_cast<double>(set) / static_cast<double>(f.bit_count());
+  };
+  BloomFilter f = BloomFilter::with_capacity(300, 0.01, 4);
+  Rng rng(8);
+  for (int i = 0; i < 200; ++i) {
+    f.insert(rng.next_u64() % 150);  // repeats set no new bits
+    ASSERT_EQ(f.fill_ratio(), popcount_ratio(f));
+  }
+  for (std::size_t w = 0; w < f.words().size(); w += 3) {
+    f.set_word(w, rng.next_u64());
+    ASSERT_EQ(f.fill_ratio(), popcount_ratio(f));
+  }
+  f.set_word(1, 0);
+  EXPECT_EQ(f.fill_ratio(), popcount_ratio(f));
+  std::vector<std::byte> bytes;
+  f.encode(bytes);
+  const BloomFilter decoded = BloomFilter::decode(bytes);
+  EXPECT_EQ(decoded.fill_ratio(), f.fill_ratio());
+  BloomFilter copy = f;
+  copy.insert(1234567);
+  EXPECT_EQ(copy.fill_ratio(), popcount_ratio(copy));
 }
 
 // -- LeakyBucket ----------------------------------------------------------------
