@@ -33,7 +33,7 @@ struct NodeContext {
   const PdsConfig& config;
   DataStore& store;
   LingeringQueryTable& lqt;
-  util::DedupCache<std::uint64_t>& recent_responses;
+  util::DedupCache& recent_responses;
   CdiTable& cdi;
   // Bloom-sync reconstruction cache (DESIGN.md §16): per-session state for
   // rebuilding consumers' exclude filters from delta frames. Consulted by

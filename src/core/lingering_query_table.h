@@ -20,7 +20,7 @@
 #include <functional>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/sim_time.h"
@@ -42,10 +42,11 @@ struct LingeringQuery {
   // Membership only, so a flat set (DESIGN.md §18).
   util::FlatKeySet served_keys;
   // CDI streams: best hop count already relayed per chunk (relay only
-  // improvements).
-  std::unordered_map<ChunkIndex, std::uint32_t> relayed_cdi_hops;
+  // improvements), sorted by chunk. Used by key only, like served_chunks,
+  // so both are flat and a metadata query carries no empty hash tables.
+  std::vector<std::pair<ChunkIndex, std::uint32_t>> relayed_cdi_hops;
   // Chunk streams: chunk ids already relayed/served for this query.
-  std::unordered_set<ChunkIndex> served_chunks;
+  util::FlatKeySet served_chunks;
   // When true this query was consumed (one-shot mode for the lingering-query
   // ablation).
   bool consumed = false;

@@ -112,7 +112,7 @@ class PdsNode {
   Rng rng_;
   DataStore store_;
   LingeringQueryTable lqt_;
-  util::DedupCache<std::uint64_t> recent_responses_;
+  util::DedupCache recent_responses_;
   CdiTable cdi_;
   net::BloomSyncCache bloom_sync_;
   net::BroadcastFace face_;

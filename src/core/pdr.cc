@@ -58,17 +58,29 @@ void PdrEngine::answer_cdi(LingeringQuery& lq,
                            const std::vector<net::CdiEntry>& view,
                            const net::TraceContext& cause,
                            std::uint64_t cause_span, int hop_delta) {
+  auto& relayed = lq.relayed_cdi_hops;  // sorted by chunk
+  const auto slot_of = [&relayed](ChunkIndex chunk) {
+    return std::lower_bound(
+        relayed.begin(), relayed.end(), chunk,
+        [](const auto& entry, ChunkIndex c) { return entry.first < c; });
+  };
   std::vector<net::CdiEntry> fresh;
   for (const net::CdiEntry& e : view) {
-    auto it = lq.relayed_cdi_hops.find(e.chunk);
-    if (it != lq.relayed_cdi_hops.end() && it->second <= e.hop_count) {
+    auto it = slot_of(e.chunk);
+    if (it != relayed.end() && it->first == e.chunk &&
+        it->second <= e.hop_count) {
       continue;  // already told this upstream something at least as good
     }
     fresh.push_back(e);
   }
   if (fresh.empty()) return;
   for (const net::CdiEntry& e : fresh) {
-    lq.relayed_cdi_hops[e.chunk] = e.hop_count;
+    auto it = slot_of(e.chunk);
+    if (it != relayed.end() && it->first == e.chunk) {
+      it->second = e.hop_count;
+    } else {
+      relayed.insert(it, {e.chunk, e.hop_count});
+    }
   }
 
   auto resp = make_response(ctx_, net::ContentKind::kCdi, *lq.query->target,

@@ -30,6 +30,15 @@ std::uint64_t message_token(const Message& m) {
   return hash_combine(m.ack_key(), m.sender.value());
 }
 
+// Adds `receivers` to the sorted, unique list of receivers awaited.
+void await(std::vector<NodeId>& awaiting,
+           const std::vector<NodeId>& receivers) {
+  awaiting.insert(awaiting.end(), receivers.begin(), receivers.end());
+  std::sort(awaiting.begin(), awaiting.end());
+  awaiting.erase(std::unique(awaiting.begin(), awaiting.end()),
+                 awaiting.end());
+}
+
 }  // namespace
 
 Transport::Transport(sim::Simulator& sim, Face& face, NodeId self,
@@ -97,11 +106,12 @@ void Transport::send(MessagePtr msg) {
     // Keep the message around so receivers can ask for missing fragments.
     const std::uint64_t token = message_token(*msg);
     if (sent_fragmented_.emplace(token, msg).second) {
-      sent_fragmented_order_.push_back(token);
-      while (sent_fragmented_order_.size() > 64) {
+      // Evict before appending, so a full window never needs a larger ring.
+      if (sent_fragmented_order_.size() == 64) {
         sent_fragmented_.erase(sent_fragmented_order_.front());
         sent_fragmented_order_.pop_front();
       }
+      sent_fragmented_order_.push_back(token);
     }
   }
   for (Packet& p : packets) {
@@ -118,8 +128,7 @@ void Transport::enqueue_packet(Packet packet, bool reliable) {
     // Same packet sent again (e.g., a relay serving a later-arriving
     // matching query): extend the awaited set and retransmit outside the
     // window accounting.
-    it->second.awaiting.insert(packet.receivers.begin(),
-                               packet.receivers.end());
+    await(it->second.awaiting, packet.receivers);
     it->second.packet = packet;
     transmit(packet, true);
     return;
@@ -135,7 +144,7 @@ void Transport::start_reliable(Packet packet) {
   ++inflight_;
   Pending& p = pending_[packet.ack_token];
   p.packet = packet;
-  p.awaiting.insert(packet.receivers.begin(), packet.receivers.end());
+  await(p.awaiting, packet.receivers);
   transmit(p.packet, true);
 }
 
@@ -232,24 +241,17 @@ void Transport::check_pending(std::uint64_t token, int expected_round) {
                   "node " << self_ << " gave up on packet after "
                           << p.retransmissions << " retransmissions ("
                           << p.awaiting.size() << " receiver(s) silent)");
-    // Degrade instead of hanging: surface every still-silent receiver so the
-    // protocol layer can drop routes/queries through it. The set is sorted
-    // before the callbacks fire — unordered_set iteration order must never
-    // leak into protocol behaviour.
-    std::vector<NodeId> silent(  // pdslint:allow(unordered-iter)
-        p.awaiting.begin(), p.awaiting.end());
-    std::sort(silent.begin(), silent.end());
+    // Degrade instead of hanging: surface every still-silent receiver, in
+    // id order, so the protocol layer can drop routes/queries through it.
+    const std::vector<NodeId> silent = std::move(p.awaiting);
     complete_pending(token);
     if (unreachable_cb_) {
       for (NodeId peer : silent) unreachable_cb_(peer);
     }
     return;
   }
-  // Retransmit with the receiver list rewritten to the unacked subset; the
-  // hash-order copy is sorted on the next line before anything observes it.
-  p.packet.receivers.assign(  // pdslint:allow(unordered-iter)
-      p.awaiting.begin(), p.awaiting.end());
-  std::sort(p.packet.receivers.begin(), p.packet.receivers.end());
+  // Retransmit with the receiver list rewritten to the unacked subset.
+  p.packet.receivers = p.awaiting;
   ++p.retransmissions;
   ++stats_.retransmissions;
   PDS_TRACE_INSTANT(sim_.tracer(), sim_.now(), self_, "transport",
@@ -434,8 +436,13 @@ void Transport::on_frame(const sim::Frame& frame) {
         auto it = pending_.find(token);
         if (it == pending_.end()) continue;
         ++stats_.acks_received;
-        it->second.awaiting.erase(msg->acker);
-        if (it->second.awaiting.empty()) complete_pending(token);
+        std::vector<NodeId>& awaiting = it->second.awaiting;
+        const auto acker =
+            std::lower_bound(awaiting.begin(), awaiting.end(), msg->acker);
+        if (acker != awaiting.end() && *acker == msg->acker) {
+          awaiting.erase(acker);
+        }
+        if (awaiting.empty()) complete_pending(token);
       }
       return;
     }

@@ -19,13 +19,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 
+#include "common/ring_queue.h"
 #include "net/codec.h"
 #include "net/face.h"
 #include "net/message.h"
@@ -173,7 +172,9 @@ class Transport final {
   };
   struct Pending {
     Packet packet;
-    std::unordered_set<NodeId> awaiting;
+    // Receivers yet to ack, sorted and unique: receiver lists are short,
+    // and a retransmission addresses them in this order.
+    std::vector<NodeId> awaiting;
     int retransmissions = 0;
   };
   struct Reassembly {
@@ -216,16 +217,16 @@ class Transport final {
   // and abort, so a crashed-then-restarted node does not send zombie frames.
   std::uint64_t epoch_ = 0;
   std::unordered_map<std::uint64_t, Pending> pending_;
-  std::deque<Packet> send_queue_;  // reliable packets awaiting a slot
+  RingQueue<Packet> send_queue_;  // reliable packets awaiting a slot
   std::size_t inflight_ = 0;
   // Ordered by message token: the stale-assembly eviction scan walks this
   // map, and with hash order the tie-break between equally-old assemblies
   // would differ across runs and standard libraries.
   std::map<std::uint64_t, Reassembly> reassembly_;
-  util::DedupCache<std::uint64_t> completed_messages_{4096};
+  util::DedupCache completed_messages_{4096};
   // Recently sent fragmented messages, kept for selective repair.
   std::unordered_map<std::uint64_t, MessagePtr> sent_fragmented_;
-  std::deque<std::uint64_t> sent_fragmented_order_;
+  RingQueue<std::uint64_t> sent_fragmented_order_;
   std::vector<std::uint64_t> ack_batch_;
   bool ack_flush_scheduled_ = false;
   Stats stats_;

@@ -23,7 +23,6 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -31,6 +30,7 @@
 #include <vector>
 
 #include "common/arena.h"
+#include "common/ring_queue.h"
 #include "common/rng.h"
 #include "common/types.h"
 #include "sim/position.h"
@@ -306,12 +306,12 @@ class RadioMedium {
   // fan-out classification touches (position, enabled, transmitting,
   // tx deadline, grid links) live in parallel arrays below instead — a
   // structure-of-arrays layout that keeps a 50k-node sweep cache-resident
-  // where an array of these structs would drag the deque and reception
+  // where an array of these structs would drag the queue and reception
   // vectors through the cache line by line.
   struct NodeState {
     NodeId id;
     FrameSink* sink = nullptr;
-    std::deque<Frame> os_queue;
+    RingQueue<Frame> os_queue;
     std::size_t os_bytes = 0;
     bool attempt_scheduled = false;
     std::vector<Reception> receptions;

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <new>
 
 #include "common/assert.h"
 #include "common/bytes.h"
@@ -13,10 +15,41 @@ namespace pds::util {
 
 BloomFilter::BloomFilter(std::size_t bits, std::uint32_t hash_count,
                          std::uint64_t seed)
-    : bits_((bits + 63) / 64, 0), hash_count_(hash_count), seed_(seed) {
+    : hash_count_(hash_count), seed_(seed) {
+  const std::size_t words = (bits + 63) / 64;
   PDS_ENSURE(bits > 0);
-  PDS_ENSURE(bit_count() <= std::numeric_limits<std::uint32_t>::max());
+  PDS_ENSURE(words * 64 <= std::numeric_limits<std::uint32_t>::max());
   PDS_ENSURE(hash_count > 0);
+  rep_ = allocate(words);
+  std::memset(words_of(rep_), 0, words * sizeof(std::uint64_t));
+}
+
+BloomFilter::Rep* BloomFilter::allocate(std::size_t words) {
+  // Plain ::operator new, so the ledger's heap meter sees the block.
+  void* block = ::operator new(sizeof(Rep) + words * sizeof(std::uint64_t));
+  Rep* rep = ::new (block) Rep;
+  rep->words = static_cast<std::uint32_t>(words);
+  return rep;
+}
+
+void BloomFilter::release() noexcept {
+  if (rep_ != nullptr &&
+      rep_->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    rep_->~Rep();
+    ::operator delete(rep_);
+  }
+  rep_ = nullptr;
+}
+
+std::span<std::uint64_t> BloomFilter::mutable_words() {
+  if (rep_->refs.load(std::memory_order_acquire) != 1) {
+    Rep* copy = allocate(rep_->words);
+    std::memcpy(words_of(copy), words_of(rep_),
+                rep_->words * sizeof(std::uint64_t));
+    release();
+    rep_ = copy;
+  }
+  return {words_of(rep_), rep_->words};
 }
 
 BloomFilter BloomFilter::with_capacity(std::size_t expected_items, double fpp,
@@ -47,9 +80,10 @@ void BloomFilter::insert(std::uint64_t key) {
   PDS_ENSURE(!empty_filter());
   const auto [h1, h2] = double_hash(key);
   const std::size_t m = bit_count();
+  const std::span<std::uint64_t> words = mutable_words();
   for (std::uint32_t i = 0; i < hash_count_; ++i) {
     const auto b = static_cast<std::size_t>((h1 + i * h2) % m);
-    std::uint64_t& word = bits_[b / 64];
+    std::uint64_t& word = words[b / 64];
     const std::uint64_t mask = std::uint64_t{1} << (b % 64);
     if ((word & mask) == 0) ++set_bits_;
     word |= mask;
@@ -58,26 +92,28 @@ void BloomFilter::insert(std::uint64_t key) {
 }
 
 void BloomFilter::set_word(std::size_t index, std::uint64_t value) {
-  PDS_ENSURE(index < bits_.size());
-  set_bits_ -= static_cast<std::uint32_t>(std::popcount(bits_[index]));
+  PDS_ENSURE(index < words().size());
+  std::uint64_t& word = mutable_words()[index];
+  set_bits_ -= static_cast<std::uint32_t>(std::popcount(word));
   set_bits_ += static_cast<std::uint32_t>(std::popcount(value));
-  bits_[index] = value;
+  word = value;
 }
 
 bool BloomFilter::maybe_contains(std::uint64_t key) const {
   if (empty_filter()) return false;
   const auto [h1, h2] = double_hash(key);
   const std::size_t m = bit_count();
+  const std::uint64_t* words = words_of(rep_);
   for (std::uint32_t i = 0; i < hash_count_; ++i) {
     const auto b = static_cast<std::size_t>((h1 + i * h2) % m);
-    if ((bits_[b / 64] & (std::uint64_t{1} << (b % 64))) == 0) return false;
+    if ((words[b / 64] & (std::uint64_t{1} << (b % 64))) == 0) return false;
   }
   return true;
 }
 
 std::size_t BloomFilter::wire_size() const {
   if (empty_filter()) return 1;  // presence byte only
-  return 1 + 4 + 1 + 8 + bits_.size() * 8;
+  return 1 + 4 + 1 + 8 + words().size() * 8;
 }
 
 double BloomFilter::fill_ratio() const {
@@ -92,7 +128,7 @@ void BloomFilter::encode(std::vector<std::byte>& out) const {
     w.put_u32(static_cast<std::uint32_t>(bit_count()));
     w.put_u8(static_cast<std::uint8_t>(hash_count_));
     w.put_u64(seed_);
-    for (std::uint64_t word : bits_) w.put_u64(word);
+    for (std::uint64_t word : words()) w.put_u64(word);
   }
   auto bytes = w.take();
   out.insert(out.end(), bytes.begin(), bytes.end());
@@ -120,8 +156,8 @@ BloomFilter BloomFilter::decode(std::span<const std::byte> in) {
   if (r.remaining() < words * 8) {
     throw DecodeError("Bloom filter body exceeds buffer");
   }
-  BloomFilter f(bits, hashes, seed);
-  for (auto& word : f.bits_) {
+  BloomFilter f(bits, hashes, seed);  // a block of its own
+  for (std::uint64_t& word : f.mutable_words()) {
     word = r.get_u64();
     f.set_bits_ += static_cast<std::uint32_t>(std::popcount(word));
   }

@@ -4,7 +4,8 @@
 // queries keep one set of served entry keys each, and a dense PDD run holds
 // hundreds of thousands of them at once (DESIGN.md §18). This set stores the
 // keys themselves in a power-of-two slot array with linear probing, at most
-// three quarters full: no per-key allocation, 8 bytes a slot.
+// three quarters full: no per-key allocation, 8 bytes a slot. erase() uses
+// backward-shift deletion, so the table never holds tombstones.
 //
 // It answers membership only. for_each visits keys in slot order, which
 // depends on the insertion history, so no caller may depend on that order.
@@ -29,6 +30,32 @@ class FlatKeySet {
     if (slot == key) return false;
     slot = key;
     ++slotted_;
+    return true;
+  }
+
+  // Returns true when `key` was present. Each key after the erased one in
+  // its probe run moves back into the hole unless its home slot lies
+  // between the hole and where it sits, so every key stays reachable from
+  // its home without a tombstone.
+  bool erase(std::uint64_t key) {
+    if (key == kEmpty) return std::exchange(has_empty_key_, false);
+    if (slots_.empty()) return false;
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t hole = mix64(key) & mask;
+    while (slots_[hole] != key) {
+      if (slots_[hole] == kEmpty) return false;
+      hole = (hole + 1) & mask;
+    }
+    for (std::size_t i = (hole + 1) & mask; slots_[i] != kEmpty;
+         i = (i + 1) & mask) {
+      const std::size_t home = mix64(slots_[i]) & mask;
+      // Stays where it is: its home is in (hole, i], cyclically.
+      if (((i - home) & mask) < ((i - hole) & mask)) continue;
+      slots_[hole] = slots_[i];
+      hole = i;
+    }
+    slots_[hole] = kEmpty;
+    --slotted_;
     return true;
   }
 

@@ -1,11 +1,13 @@
 // Allocation guards for the shared descriptor representation (DESIGN.md
-// §18) and the store layout (§19). This binary replaces the global
-// allocation functions with counting ones, as bench/ledger/heap_meter.cc
-// does, and asserts that the operations the PDD hot path repeats per cached
-// copy allocate nothing: copying a descriptor, copying a metadata response's
-// entries, computing identity, re-inserting an entry the store already holds
-// and walking past entries a query does not want; and that new records are
-// allocated per slab, not one by one.
+// §18), the store layout (§19) and the per-node footprint (§20). This
+// binary replaces the global allocation functions with counting ones, as
+// bench/ledger/heap_meter.cc does, and asserts that the operations the PDD
+// hot path repeats per cached copy allocate nothing: copying a descriptor,
+// copying a metadata response's entries, computing identity, re-inserting
+// an entry the store already holds and walking past entries a query does
+// not want; that new records are allocated per slab, not one by one; that
+// an idle node is a few heap blocks; and that a hop shares a query's
+// exclude filter instead of copying its words.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,6 +19,7 @@
 
 #include "core/data_store.h"
 #include "core/descriptor.h"
+#include "core/lingering_query_table.h"
 #include "core/pdd.h"
 #include "net/message.h"
 #include "workload/scenario.h"
@@ -24,6 +27,8 @@
 namespace {
 
 std::atomic<std::size_t> g_allocations{0};
+std::atomic<std::size_t> g_deallocations{0};
+std::atomic<std::size_t> g_largest{0};  // largest allocation since reset
 
 }  // namespace
 
@@ -31,12 +36,20 @@ std::atomic<std::size_t> g_allocations{0};
 // `new` and `delete` expressions and flag a mismatch that is not there.
 [[gnu::noinline]] void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  std::size_t largest = g_largest.load(std::memory_order_relaxed);
+  while (size > largest &&
+         !g_largest.compare_exchange_weak(largest, size,
+                                          std::memory_order_relaxed)) {
+  }
   void* p = std::malloc(size == 0 ? 1 : size);
   if (p == nullptr) throw std::bad_alloc();
   return p;
 }
 
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept {
+  if (p != nullptr) g_deallocations.fetch_add(1, std::memory_order_relaxed);
+  std::free(p);
+}
 
 [[gnu::noinline]] void operator delete(void* p,
                                        std::size_t /*size*/) noexcept {
@@ -52,6 +65,26 @@ std::size_t allocations_of(Fn&& fn) {
   const std::size_t before = g_allocations.load(std::memory_order_relaxed);
   fn();
   return g_allocations.load(std::memory_order_relaxed) - before;
+}
+
+// Blocks `fn` allocated and did not free.
+template <typename Fn>
+std::ptrdiff_t live_blocks_of(Fn&& fn) {
+  const std::size_t allocs = g_allocations.load(std::memory_order_relaxed);
+  const std::size_t frees = g_deallocations.load(std::memory_order_relaxed);
+  fn();
+  return static_cast<std::ptrdiff_t>(
+             g_allocations.load(std::memory_order_relaxed) - allocs) -
+         static_cast<std::ptrdiff_t>(
+             g_deallocations.load(std::memory_order_relaxed) - frees);
+}
+
+// The largest single allocation `fn` made (0 if none).
+template <typename Fn>
+std::size_t largest_allocation_of(Fn&& fn) {
+  g_largest.store(0, std::memory_order_relaxed);
+  fn();
+  return g_largest.load(std::memory_order_relaxed);
 }
 
 // Six attributes, two of them strings too long for the small-string buffer,
@@ -185,6 +218,54 @@ std::size_t allocations_to_serve_nothing_new(int stored) {
 TEST(StoreAlloc, ServingAQueryThatWantsNothingAllocatesTheSameAtAnySize) {
   EXPECT_EQ(allocations_to_serve_nothing_new(1000),
             allocations_to_serve_nothing_new(4000));
+}
+
+// -- Per-node footprint (DESIGN.md §20) ---------------------------------------
+
+// Building a grid gives each node its store, tables, queues and transport.
+// Queues and dedup windows allocate on first use, so an idle node is a few
+// blocks: the node itself, its engines' shared state and the radio's and
+// scenario's per-node slots. std::deque-backed queues made it 18.9
+// allocations and 13.5 live blocks per node.
+TEST(FootprintAlloc, AnIdleNodeIsAFewHeapBlocks) {
+  constexpr std::size_t kNodes = 100;
+  wl::GridSetup setup;  // 10 x 10
+  std::unique_ptr<wl::Grid> grid;
+  std::ptrdiff_t live = 0;
+  const std::size_t n = allocations_of([&] {
+    live = live_blocks_of(
+        [&] { grid = std::make_unique<wl::Grid>(wl::make_grid(setup, 1)); });
+  });
+  ASSERT_EQ(grid->ids.size(), kNodes);
+  EXPECT_LE(n, 5 * kNodes);
+  EXPECT_LE(live, static_cast<std::ptrdiff_t>(4 * kNodes));
+}
+
+// A hop installs a received query in its LQT and forwards a copy of it.
+// Both share the query's exclude words until en-route rewriting writes to
+// them; copying them would allocate the 600-byte word array twice.
+TEST(FootprintAlloc, InstallingAndForwardingAQueryShareItsExcludeWords) {
+  auto query = std::make_shared<net::Message>();
+  query->type = net::MessageType::kQuery;
+  query->kind = net::ContentKind::kMetadata;
+  query->query_id = QueryId(5);
+  query->sender = NodeId(1);
+  query->expire_at = SimTime::seconds(60.0);
+  query->exclude = util::BloomFilter(4793, 7, 3);
+  for (std::uint64_t k = 1; k <= 500; ++k) query->exclude.insert(k * 131);
+  const std::size_t word_bytes = query->exclude.words().size() * 8;
+  ASSERT_EQ(word_bytes, 600u);
+  LingeringQueryTable lqt;
+  std::shared_ptr<net::Message> fwd;
+  const std::size_t largest = largest_allocation_of([&] {
+    lqt.insert(query, SimTime::zero());
+    fwd = std::make_shared<net::Message>(*query);
+  });
+  EXPECT_LT(largest, word_bytes);
+  const LingeringQuery* lq = lqt.find(QueryId(5));
+  ASSERT_NE(lq, nullptr);
+  EXPECT_EQ(lq->exclude.words().data(), query->exclude.words().data());
+  EXPECT_EQ(fwd->exclude.words().data(), query->exclude.words().data());
 }
 
 }  // namespace

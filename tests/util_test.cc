@@ -1,11 +1,19 @@
 // Unit and property tests for src/util: Bloom filter, flat key set, leaky
-// bucket, dedup cache, GAP assignment, statistics and table printing.
+// bucket, dedup cache, GAP assignment, statistics and table printing; and
+// the ring queue (src/common) the dedup cache is built on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
+#include <deque>
+#include <latch>
 #include <set>
+#include <thread>
+#include <unordered_set>
 
+#include "common/hash.h"
+#include "common/ring_queue.h"
 #include "common/rng.h"
 #include "util/bloom_filter.h"
 #include "util/dedup_cache.h"
@@ -152,7 +160,104 @@ TEST(BloomFilter, FillRatioCountsBitsThroughEveryWrite) {
   EXPECT_EQ(copy.fill_ratio(), popcount_ratio(copy));
 }
 
-// -- LeakyBucket ----------------------------------------------------------------
+// Copies share one block of words until one of them writes (DESIGN.md §20).
+TEST(BloomFilter, CopyThenInsertLeavesTheOriginalUnchanged) {
+  BloomFilter original = BloomFilter::with_capacity(200, 0.01, 3);
+  for (std::uint64_t k = 1; k <= 50; ++k) original.insert(k * 31);
+  const std::vector<std::uint64_t> words(original.words().begin(),
+                                         original.words().end());
+  const double fill = original.fill_ratio();
+  BloomFilter copy = original;
+  EXPECT_EQ(copy.words().data(), original.words().data());
+  for (std::uint64_t k = 1000; k < 1100; ++k) copy.insert(k);
+  EXPECT_NE(copy.words().data(), original.words().data());
+  EXPECT_TRUE(std::equal(words.begin(), words.end(),
+                         original.words().begin(), original.words().end()));
+  EXPECT_EQ(original.fill_ratio(), fill);
+  EXPECT_EQ(original.inserted_count(), 50u);
+  EXPECT_EQ(copy.inserted_count(), 150u);
+  EXPECT_GT(copy.fill_ratio(), fill);
+  for (std::uint64_t k = 1000; k < 1100; ++k) {
+    EXPECT_TRUE(copy.maybe_contains(k));
+  }
+}
+
+TEST(BloomFilter, CopyThenSetWordLeavesTheOriginalUnchanged) {
+  BloomFilter original = BloomFilter::with_capacity(200, 0.01, 6);
+  for (std::uint64_t k = 1; k <= 20; ++k) original.insert(k);
+  const std::vector<std::uint64_t> words(original.words().begin(),
+                                         original.words().end());
+  const double fill = original.fill_ratio();
+  BloomFilter copy;
+  copy = original;  // assignment shares too
+  const std::uint64_t* shared = original.words().data();
+  EXPECT_EQ(copy.words().data(), shared);
+  copy.set_word(2, ~std::uint64_t{0});
+  EXPECT_NE(copy.words().data(), shared);
+  EXPECT_EQ(original.words().data(), shared);
+  EXPECT_EQ(copy.words()[2], ~std::uint64_t{0});
+  EXPECT_TRUE(std::equal(words.begin(), words.end(),
+                         original.words().begin(), original.words().end()));
+  EXPECT_EQ(original.fill_ratio(), fill);
+  EXPECT_EQ(original.inserted_count(), 20u);
+  EXPECT_EQ(copy.inserted_count(), 20u);
+  // The sole holder of a block writes in place.
+  original.set_word(0, 1);
+  EXPECT_EQ(original.words().data(), shared);
+}
+
+TEST(BloomFilter, ADecodedFilterSharesNothing) {
+  BloomFilter f = BloomFilter::with_capacity(100, 0.01, 2);
+  for (std::uint64_t k = 0; k < 40; ++k) f.insert(k);
+  std::vector<std::byte> bytes;
+  f.encode(bytes);
+  BloomFilter a = BloomFilter::decode(bytes);
+  const BloomFilter b = BloomFilter::decode(bytes);
+  EXPECT_NE(a.words().data(), f.words().data());
+  EXPECT_NE(a.words().data(), b.words().data());
+  const std::uint64_t* own = a.words().data();
+  a.insert(999);  // unique: no detach
+  EXPECT_EQ(a.words().data(), own);
+  EXPECT_TRUE(std::equal(b.words().begin(), b.words().end(),
+                         f.words().begin(), f.words().end()));
+}
+
+// Run under ThreadSanitizer in CI: copies of one filter are made, probed,
+// written (which detaches) and destroyed on several threads at once.
+TEST(BloomFilter, ConcurrentCopiesShareOneBlockSafely) {
+  BloomFilter f = BloomFilter::with_capacity(500, 0.01, 11);
+  for (std::uint64_t k = 0; k < 300; ++k) f.insert(k * 7919);
+  const BloomFilter shared = f;
+  const std::vector<std::uint64_t> words(shared.words().begin(),
+                                         shared.words().end());
+  constexpr int kThreads = 4;
+  std::latch start(kThreads);
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> pool;
+  for (int t = 0; t < kThreads; ++t) {
+    pool.emplace_back([&, t] {
+      start.arrive_and_wait();
+      for (int i = 0; i < 2000; ++i) {
+        BloomFilter copy = shared;
+        std::vector<BloomFilter> more(3, copy);
+        const auto k = static_cast<std::uint64_t>(i % 300) * 7919;
+        if (!more[static_cast<std::size_t>(i) % 3].maybe_contains(k) ||
+            copy.words().data() != shared.words().data()) {
+          ++mismatches;
+        }
+        more.clear();
+        copy.insert(static_cast<std::uint64_t>(t) * 100000 + 1'000'000 +
+                    static_cast<std::uint64_t>(i));
+        if (copy.words().data() == shared.words().data()) ++mismatches;
+      }
+    });
+  }
+  for (std::thread& th : pool) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_TRUE(std::equal(words.begin(), words.end(), shared.words().begin(),
+                         shared.words().end()));
+  EXPECT_EQ(shared.inserted_count(), 300u);
+}
 
 // -- FlatKeySet ---------------------------------------------------------------
 
@@ -182,6 +287,157 @@ TEST(FlatKeySet, MatchesReferenceSetThroughGrowth) {
   });
   EXPECT_EQ(visited, ref);
 }
+
+// Erase against a reference set, on keys whose home slots all fall in the
+// last two and first two slots of every table up to 64 slots: the keys
+// collide, their probe runs wrap around the table end, and every erase
+// has to shift later keys back across that end.
+TEST(FlatKeySet, EraseMatchesReferenceSetOnCollidingWrappingKeys) {
+  std::vector<std::uint64_t> pool{0};  // 0 is the flag-tracked key
+  for (std::uint64_t k = 1; pool.size() < 64; ++k) {
+    const std::uint64_t home = mix64(k) & 63;
+    if (home >= 62 || home <= 1) pool.push_back(k);
+  }
+  FlatKeySet set;
+  std::unordered_set<std::uint64_t> ref;
+  Rng rng(12);
+  for (int step = 0; step < 20000; ++step) {
+    const std::uint64_t key = pool[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(pool.size()) - 1))];
+    // Erase more often while the set is large, so it keeps filling and
+    // draining without outgrowing 64 slots (at most 48 keys).
+    if (ref.size() >= 40 || rng.uniform_int(0, 1) == 0) {
+      ASSERT_EQ(set.erase(key), ref.erase(key) == 1) << "step " << step;
+    } else {
+      ASSERT_EQ(set.insert(key), ref.insert(key).second) << "step " << step;
+    }
+    ASSERT_EQ(set.size(), ref.size());
+    for (const std::uint64_t k : pool) {
+      ASSERT_EQ(set.contains(k), ref.contains(k))
+          << "key " << k << " at step " << step;
+    }
+  }
+  std::size_t visited = 0;
+  set.for_each([&](std::uint64_t key) {
+    EXPECT_TRUE(ref.contains(key));
+    ++visited;
+  });
+  EXPECT_EQ(visited, ref.size());
+  for (const std::uint64_t k : pool) set.erase(k);
+  EXPECT_EQ(set.size(), 0u);
+  EXPECT_FALSE(set.erase(pool[1]));
+}
+
+// -- RingQueue ----------------------------------------------------------------
+
+// Counts live instances and marks destroyed ones, so a leak or a second
+// destruction of one element shows.
+class Counted {
+ public:
+  explicit Counted(int v) : value_(v) { ++live; }
+  Counted(const Counted& other) : value_(other.get()) { ++live; }
+  Counted(Counted&& other) noexcept : value_(other.get()) { ++live; }
+  Counted& operator=(const Counted&) = delete;
+  ~Counted() {
+    EXPECT_EQ(state_, kAlive) << "destroyed twice";
+    state_ = kDead;
+    --live;
+  }
+  [[nodiscard]] int get() const {
+    EXPECT_EQ(state_, kAlive) << "read after destruction";
+    return value_;
+  }
+
+  static inline int live = 0;
+
+ private:
+  static constexpr std::uint32_t kAlive = 0xA11FE;
+  static constexpr std::uint32_t kDead = 0xDEAD;
+  int value_;
+  std::uint32_t state_ = kAlive;
+};
+
+void expect_same(const RingQueue<Counted>& q, const std::deque<int>& ref) {
+  ASSERT_EQ(q.size(), ref.size());
+  ASSERT_EQ(q.empty(), ref.empty());
+  for (std::size_t i = 0; i < ref.size(); ++i) ASSERT_EQ(q[i].get(), ref[i]);
+  if (!ref.empty()) {
+    ASSERT_EQ(q.front().get(), ref.front());
+  }
+  // Storage: none when unallocated, else a power of two of at least
+  // kMinSlots that is more than a quarter full (shrink returns the rest).
+  const std::size_t cap = q.capacity();
+  if (cap != 0) {
+    ASSERT_TRUE(std::has_single_bit(cap) &&
+                cap >= RingQueue<Counted>::kMinSlots);
+    ASSERT_TRUE(cap == RingQueue<Counted>::kMinSlots || q.size() * 4 > cap)
+        << "size " << q.size() << " capacity " << cap;
+  }
+}
+
+TEST(RingQueue, MatchesADequeThroughGrowthAndShrink) {
+  Counted::live = 0;
+  {
+    RingQueue<Counted> q;
+    std::deque<int> ref;
+    EXPECT_EQ(q.capacity(), 0u);  // nothing until the first push
+    Rng rng(21);
+    int next = 0;
+    for (int step = 0; step < 20000; ++step) {
+      // Bursts: a few hundred steps leaning to pushes, then to pops.
+      const bool filling = (step / 300) % 2 == 0;
+      const auto op = rng.uniform_int(0, 99);
+      if (op < (filling ? 45 : 15)) {
+        q.push_back(Counted(next));
+        ref.push_back(next++);
+      } else if (op < (filling ? 70 : 25)) {
+        q.push_front(Counted(next));
+        ref.push_front(next++);
+      } else if (op < 97) {
+        if (!ref.empty()) {
+          q.pop_front();
+          ref.pop_front();
+        }
+      } else if (op < 98) {
+        q.clear();
+        ref.clear();
+        ASSERT_EQ(q.capacity(), 0u);
+      } else if (op < 99) {
+        RingQueue<Counted> copy(q);
+        expect_same(copy, ref);
+        RingQueue<Counted> assigned;
+        assigned.push_back(Counted(-1));
+        assigned = copy;
+        expect_same(assigned, ref);
+        ASSERT_EQ(Counted::live, static_cast<int>(3 * ref.size()));
+      } else {
+        RingQueue<Counted> moved(std::move(q));
+        ASSERT_EQ(q.size(), 0u);  // NOLINT(bugprone-use-after-move)
+        ASSERT_EQ(q.capacity(), 0u);
+        expect_same(moved, ref);
+        q = std::move(moved);
+      }
+      expect_same(q, ref);
+      ASSERT_EQ(Counted::live, static_cast<int>(ref.size()));
+    }
+  }
+  EXPECT_EQ(Counted::live, 0);
+}
+
+TEST(RingQueue, HandsStorageBackAsItDrains) {
+  RingQueue<std::uint64_t> q;
+  for (std::uint64_t i = 0; i < 1000; ++i) q.push_back(i);
+  EXPECT_EQ(q.capacity(), 1024u);
+  while (q.size() > 3) q.pop_front();
+  EXPECT_EQ(q.capacity(), 8u);
+  EXPECT_EQ(q.front(), 997u);
+  q.pop_front();  // a quarter full: halves
+  EXPECT_EQ(q.capacity(), RingQueue<std::uint64_t>::kMinSlots);
+  EXPECT_EQ(q.front(), 998u);
+  static_assert(std::is_nothrow_move_constructible_v<RingQueue<Counted>>);
+}
+
+// -- LeakyBucket ----------------------------------------------------------------
 
 TEST(LeakyBucket, DisabledPassesThrough) {
   LeakyBucket b;
@@ -245,7 +501,7 @@ TEST(LeakyBucket, MessageLargerThanCapacityStillPaces) {
 // -- DedupCache ---------------------------------------------------------------
 
 TEST(DedupCache, DetectsDuplicates) {
-  DedupCache<std::uint64_t> cache(10);
+  DedupCache cache(10);
   EXPECT_TRUE(cache.insert(1));
   EXPECT_FALSE(cache.insert(1));
   EXPECT_TRUE(cache.insert(2));
@@ -253,7 +509,7 @@ TEST(DedupCache, DetectsDuplicates) {
 }
 
 TEST(DedupCache, EvictsOldestBeyondCapacity) {
-  DedupCache<std::uint64_t> cache(3);
+  DedupCache cache(3);
   for (std::uint64_t i = 0; i < 5; ++i) EXPECT_TRUE(cache.insert(i));
   EXPECT_EQ(cache.size(), 3u);
   EXPECT_FALSE(cache.contains(0));
@@ -262,6 +518,46 @@ TEST(DedupCache, EvictsOldestBeyondCapacity) {
   EXPECT_TRUE(cache.contains(4));
   // An evicted id is accepted again (no longer a known duplicate).
   EXPECT_TRUE(cache.insert(0));
+}
+
+// DedupCache against a deque-plus-set reference: same answers, same size,
+// same members, through eviction and clear().
+TEST(DedupCache, MatchesAFifoReferenceWindow) {
+  for (const std::size_t capacity : {std::size_t{1}, std::size_t{7},
+                                     std::size_t{4096}}) {
+    DedupCache cache(capacity);
+    std::deque<std::uint64_t> order;
+    std::set<std::uint64_t> seen;
+    Rng rng(capacity);
+    // Ids from a range a little larger than the window, so some repeat
+    // while held and some come back after eviction; 0 included.
+    const auto range = static_cast<std::int64_t>(capacity + capacity / 2 + 2);
+    for (int step = 0; step < 30000; ++step) {
+      if (step % 9000 == 8999) {
+        cache.clear();
+        order.clear();
+        seen.clear();
+      }
+      const auto id = static_cast<std::uint64_t>(rng.uniform_int(0, range));
+      const bool fresh = !seen.contains(id);
+      if (fresh) {
+        seen.insert(id);
+        order.push_back(id);
+        if (order.size() > capacity) {
+          seen.erase(order.front());
+          order.pop_front();
+        }
+      }
+      ASSERT_EQ(cache.insert(id), fresh) << "capacity " << capacity;
+      ASSERT_EQ(cache.size(), order.size());
+      const auto probe = static_cast<std::uint64_t>(rng.uniform_int(0, range));
+      ASSERT_EQ(cache.contains(probe), seen.contains(probe));
+    }
+    for (std::int64_t id = 0; id <= range; ++id) {
+      EXPECT_EQ(cache.contains(static_cast<std::uint64_t>(id)),
+                seen.contains(static_cast<std::uint64_t>(id)));
+    }
+  }
 }
 
 // -- GAP assignment ------------------------------------------------------------
