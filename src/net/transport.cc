@@ -7,7 +7,6 @@
 #include "common/assert.h"
 #include "common/hash.h"
 #include "common/logging.h"
-#include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
 
@@ -473,23 +472,6 @@ void Transport::reset() {
   bucket_ = cfg_.pacing_enabled ? util::LeakyBucket(cfg_.bucket_capacity_bytes,
                                                     cfg_.leak_rate_bps)
                                 : util::LeakyBucket();
-}
-
-void Transport::register_metrics(obs::MetricsRegistry& registry,
-                                 const std::string& prefix) const {
-  registry.expose_counter(prefix + "messages_sent", &stats_.messages_sent);
-  registry.expose_counter(prefix + "retransmissions", &stats_.retransmissions);
-  registry.expose_counter(prefix + "acks_sent", &stats_.acks_sent);
-  registry.expose_counter(prefix + "acks_received", &stats_.acks_received);
-  registry.expose_counter(prefix + "deliveries_gave_up",
-                          &stats_.deliveries_gave_up);
-  registry.expose_counter(prefix + "repair_requests_sent",
-                          &stats_.repair_requests_sent);
-  registry.expose_counter(prefix + "repair_requests_served",
-                          &stats_.repair_requests_served);
-  registry.expose_counter(prefix + "fragments_sent", &stats_.fragments_sent);
-  registry.expose_counter(prefix + "frames_dropped_overflow",
-                          &stats_.frames_dropped_overflow);
 }
 
 }  // namespace pds::net

@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <string>
 #include <unordered_map>
 
 #include "common/ring_queue.h"
@@ -154,11 +153,6 @@ class Transport final {
     const SimTime free_at = bucket_.next_free();
     return free_at > now ? (free_at - now).as_micros() : 0;
   }
-
-  // Surfaces Stats through a metrics registry as "<prefix>messages_sent"
-  // etc. — a view over the same fields, read at snapshot time.
-  void register_metrics(obs::MetricsRegistry& registry,
-                        const std::string& prefix) const;
 
  private:
   // One reliable in-flight packet: a whole small message or one fragment.

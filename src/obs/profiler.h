@@ -3,7 +3,7 @@
 // A Profiler accumulates wall-clock time per named scope, nested by runtime
 // scope nesting: `PDS_PROF_SCOPE(prof, "radio")` inside an open "sim" scope
 // accumulates under the path "sim/radio". Scope names are string literals
-// registered in tools/stats_schema.h (pdslint rule `stats-schema`).
+// registered in tools/telemetry_schema.h (pdslint rule `stats-schema`).
 //
 // Threading: accumulation is atomic and the current-scope cursor is
 // thread-local, so shard workers (sim/shard_executor.h) and
@@ -108,7 +108,8 @@ class Profiler {
 #define PDS_PROF_CONCAT_INNER(a, b) a##b
 #define PDS_PROF_CONCAT(a, b) PDS_PROF_CONCAT_INNER(a, b)
 // Opens a profiler scope for the rest of the enclosing block. `name` must be
-// a literal registered in tools/stats_schema.h (pdslint `stats-schema`).
+// a literal registered in tools/telemetry_schema.h (pdslint
+// `stats-schema`).
 #define PDS_PROF_SCOPE(profiler, name)                  \
   const pds::obs::Profiler::Scope PDS_PROF_CONCAT(      \
       pds_prof_scope_, __LINE__)((profiler), (name))

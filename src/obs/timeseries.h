@@ -22,8 +22,8 @@
 // Serialized form is a compact columnar NDJSON (`pds-timeseries/1`): one
 // header object naming the columns, then one row object per interval with
 // the values in column order. `pdscli stats` renders/summarizes these files
-// and `tools/stats_schema.h` is the catalog every literal column name must
-// be registered in (pdslint rule `stats-schema`).
+// and `tools/telemetry_schema.h` is the catalog every literal column name
+// must be registered in (pdslint rule `stats-schema`).
 #pragma once
 
 #include <cstddef>
@@ -67,7 +67,7 @@ class TimeSeries {
 
   // Registers (or finds) a column. `name` must be a string literal or other
   // storage outliving the series; literal names are linted against
-  // tools/stats_schema.h via the PDS_TS_COLUMN macro below. Registration
+  // tools/telemetry_schema.h via the PDS_TS_COLUMN macro below. Registration
   // order is the column order in every row and in the NDJSON header.
   int column(const char* name, Kind kind = Kind::kSim);
 
@@ -140,5 +140,6 @@ class TimeSeries {
 
 // Column registration with a lint-checked literal name: pdslint's
 // `stats-schema` rule requires the string literal to be registered in
-// tools/stats_schema.h (mirroring PDS_TRACE_* / trace_schema.h).
+// tools/telemetry_schema.h, the catalog PDS_TRACE_* events are checked
+// against too.
 #define PDS_TS_COLUMN(ts, name, ...) (ts).column((name), ##__VA_ARGS__)

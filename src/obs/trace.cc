@@ -1,84 +1,61 @@
 #include "obs/trace.h"
 
-#include <charconv>
 #include <sstream>
+
+#include "obs/report.h"
 
 namespace pds::obs {
 namespace {
 
-// Doubles print via shortest round-trip form (std::to_chars) so NDJSON output
-// is byte-deterministic across runs and build hosts.
-void append_double(std::ostream& os, double v) {
-  char buf[32];
-  auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  if (ec == std::errc{}) {
-    os.write(buf, ptr - buf);
-  } else {
-    os << v;
-  }
-}
-
-// Subsystem/event/key strings are literals we control (no quotes/control
-// characters), but escape defensively so output is always valid JSON.
-void append_json_string(std::ostream& os, const char* s) {
-  os << '"';
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      case '\t':
-        os << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
-void append_arg_value(std::ostream& os, const Arg& arg) {
+// Values go through the shared JSON helpers in obs/report.h: doubles in
+// shortest round-trip form, so NDJSON is byte-deterministic across runs and
+// build hosts, and strings escaped, so output is always valid JSON even
+// though every subsystem/event/key is a literal we control.
+void append_arg_value(std::string& out, const Arg& arg) {
   switch (arg.kind) {
     case Arg::Kind::kInt:
-      os << arg.i;
+      out += std::to_string(arg.i);
       break;
     case Arg::Kind::kUint:
-      os << arg.u;
+      out += std::to_string(arg.u);
       break;
     case Arg::Kind::kDouble:
-      append_double(os, arg.d);
+      append_json_double(out, arg.d);
       break;
     case Arg::Kind::kStr:
-      append_json_string(os, arg.s);
+      append_json_string(out, arg.s);
       break;
     case Arg::Kind::kNone:
-      os << "null";
+      out += "null";
       break;
   }
 }
 
-void append_args_object(std::ostream& os, const TraceEvent& event) {
-  os << '{';
+void append_args_object(std::string& out, const TraceEvent& event) {
+  out += '{';
   for (std::uint8_t i = 0; i < event.arg_count; ++i) {
-    if (i > 0) os << ',';
-    append_json_string(os, event.args[i].key);
-    os << ':';
-    append_arg_value(os, event.args[i]);
+    if (i > 0) out += ',';
+    append_json_string(out, event.args[i].key);
+    out += ':';
+    append_arg_value(out, event.args[i]);
   }
-  os << '}';
+  out += '}';
+}
+
+void append_ndjson_line(std::string& out, const TraceEvent& event) {
+  out += "{\"t\":";
+  out += std::to_string(event.t_us);
+  out += ",\"node\":";
+  out += std::to_string(event.node);
+  out += ",\"ph\":\"";
+  out += static_cast<char>(event.phase);
+  out += "\",\"sub\":";
+  append_json_string(out, event.subsystem);
+  out += ",\"ev\":";
+  append_json_string(out, event.name);
+  out += ",\"args\":";
+  append_args_object(out, event);
+  out += "}\n";
 }
 
 }  // namespace
@@ -109,25 +86,16 @@ void Tracer::clear() {
   dropped_ = 0;
 }
 
-void Tracer::format_ndjson(const TraceEvent& event, std::ostream& os) {
-  os << "{\"t\":" << event.t_us << ",\"node\":" << event.node << ",\"ph\":\""
-     << static_cast<char>(event.phase) << "\",\"sub\":";
-  append_json_string(os, event.subsystem);
-  os << ",\"ev\":";
-  append_json_string(os, event.name);
-  os << ",\"args\":";
-  append_args_object(os, event);
-  os << "}";
-}
-
 void Tracer::write_ndjson(std::ostream& os) const {
+  std::string line;
   for (const TraceEvent& event : events_) {
-    format_ndjson(event, os);
-    os << '\n';
+    line.clear();
+    append_ndjson_line(line, event);
+    os << line;
   }
   // Ring-buffer overflow is data loss an analyzer must not paper over: a
   // synthetic trailer records how many events were silently evicted so
-  // trace_check / causal analysis can refuse truncated captures.
+  // `pdscli trace check` / causal analysis can refuse truncated captures.
   if (dropped_ > 0) {
     os << "{\"t\":0,\"node\":" << NodeId::invalid().value()
        << ",\"ph\":\"i\",\"sub\":\"trace\",\"ev\":\"drops\",\"args\":{\"count\":"
@@ -143,21 +111,26 @@ std::string Tracer::ndjson() const {
 
 void Tracer::write_chrome_trace(std::ostream& os) const {
   os << "{\"traceEvents\":[";
+  std::string line;
   bool first = true;
   for (const TraceEvent& event : events_) {
-    if (!first) os << ',';
+    line.assign(first ? "\n{\"name\":" : ",\n{\"name\":");
     first = false;
-    os << "\n{\"name\":";
-    append_json_string(os, event.name);
-    os << ",\"cat\":";
-    append_json_string(os, event.subsystem);
-    os << ",\"ph\":\"" << static_cast<char>(event.phase)
-       << "\",\"ts\":" << event.t_us << ",\"pid\":0,\"tid\":" << event.node;
+    append_json_string(line, event.name);
+    line += ",\"cat\":";
+    append_json_string(line, event.subsystem);
+    line += ",\"ph\":\"";
+    line += static_cast<char>(event.phase);
+    line += "\",\"ts\":";
+    line += std::to_string(event.t_us);
+    line += ",\"pid\":0,\"tid\":";
+    line += std::to_string(event.node);
     // Chrome renders instants with a scope field; 't' = thread-scoped.
-    if (event.phase == Phase::kInstant) os << ",\"s\":\"t\"";
-    os << ",\"args\":";
-    append_args_object(os, event);
-    os << '}';
+    if (event.phase == Phase::kInstant) line += ",\"s\":\"t\"";
+    line += ",\"args\":";
+    append_args_object(line, event);
+    line += '}';
+    os << line;
   }
   os << "\n],\"displayTimeUnit\":\"ms\"}\n";
 }

@@ -19,8 +19,9 @@
 // property tests/trace_determinism_test.cc locks in.
 //
 // All subsystem/event/arg-key strings must be string literals (the event
-// stores the pointers). The schema catalog lives in tools/trace_schema.h and
-// is enforced by tools/trace_check.
+// stores the pointers). The event catalog lives in tools/telemetry_schema.h;
+// pdslint's `trace-schema` rule checks emission sites against it and
+// `pdscli trace check` checks captured traces.
 #pragma once
 
 #include <array>
@@ -119,8 +120,6 @@ class Tracer {
   [[nodiscard]] std::string ndjson() const;
   // Chrome trace_event JSON array ({"traceEvents": [...]}); node maps to tid.
   void write_chrome_trace(std::ostream& os) const;
-
-  static void format_ndjson(const TraceEvent& event, std::ostream& os);
 
   static constexpr std::size_t kDefaultCapacity = 1u << 16;
 

@@ -1,7 +1,6 @@
 #include "sim/faults.h"
 
 #include "common/assert.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace pds::sim {
@@ -216,20 +215,6 @@ void FaultInjector::apply(const FaultEvent& event) {
       for (NodeId node : event.nodes) apply_storm(event, node);
       break;
   }
-}
-
-void FaultInjector::register_metrics(obs::MetricsRegistry& registry,
-                                     const std::string& prefix) const {
-  registry.expose_counter(prefix + "crashes", &stats_.crashes);
-  registry.expose_counter(prefix + "restarts", &stats_.restarts);
-  registry.expose_counter(prefix + "links_degraded", &stats_.links_degraded);
-  registry.expose_counter(prefix + "links_restored", &stats_.links_restored);
-  registry.expose_counter(prefix + "partitions", &stats_.partitions);
-  registry.expose_counter(prefix + "heals", &stats_.heals);
-  registry.expose_counter(prefix + "bursts_started", &stats_.bursts_started);
-  registry.expose_counter(prefix + "bursts_stopped", &stats_.bursts_stopped);
-  registry.expose_counter(prefix + "storms", &stats_.storms);
-  registry.expose_counter(prefix + "storm_frames", &stats_.storm_frames);
 }
 
 }  // namespace pds::sim

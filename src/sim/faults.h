@@ -28,10 +28,6 @@
 #include "sim/radio.h"
 #include "sim/simulator.h"
 
-namespace pds::obs {
-class MetricsRegistry;
-}  // namespace pds::obs
-
 namespace pds::sim {
 
 enum class FaultKind {
@@ -131,10 +127,6 @@ class FaultInjector {
   [[nodiscard]] std::size_t crashed_count() const { return crashed_.size(); }
 
   [[nodiscard]] const FaultStats& stats() const { return stats_; }
-
-  // Exposes FaultStats as "<prefix>crashes" etc.
-  void register_metrics(obs::MetricsRegistry& registry,
-                        const std::string& prefix = "faults.") const;
 
  private:
   void apply(const FaultEvent& event);

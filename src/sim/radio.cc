@@ -6,7 +6,6 @@
 #include <unordered_map>
 
 #include "common/assert.h"
-#include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
 
@@ -584,25 +583,6 @@ std::size_t RadioMedium::total_os_backlog_bytes() const {
   std::size_t total = 0;
   for (const NodeState& st : states_) total += st.os_bytes;
   return total;
-}
-
-void RadioMedium::register_metrics(obs::MetricsRegistry& registry,
-                                   const std::string& prefix) const {
-  registry.expose_counter(prefix + "frames_offered", &stats_.frames_offered);
-  registry.expose_counter(prefix + "os_buffer_drops", &stats_.os_buffer_drops);
-  registry.expose_counter(prefix + "frames_transmitted",
-                          &stats_.frames_transmitted);
-  registry.expose_counter(prefix + "bytes_transmitted",
-                          &stats_.bytes_transmitted);
-  registry.expose_counter(prefix + "air_time_us", &stats_.air_time_us);
-  registry.expose_counter(prefix + "deliveries", &stats_.deliveries);
-  registry.expose_counter(prefix + "losses_collision",
-                          &stats_.losses_collision);
-  registry.expose_counter(prefix + "losses_noise", &stats_.losses_noise);
-  registry.expose_counter(prefix + "losses_half_duplex",
-                          &stats_.losses_half_duplex);
-  registry.expose_counter(prefix + "losses_fault", &stats_.losses_fault);
-  registry.expose_counter(prefix + "losses_burst", &stats_.losses_burst);
 }
 
 }  // namespace pds::sim

@@ -25,7 +25,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -36,10 +35,6 @@
 #include "sim/position.h"
 #include "sim/shard_executor.h"
 #include "sim/simulator.h"
-
-namespace pds::obs {
-class MetricsRegistry;
-}  // namespace pds::obs
 
 namespace pds::sim {
 
@@ -276,12 +271,6 @@ class RadioMedium {
   [[nodiscard]] const PoolStats& receiver_pool_stats() const {
     return receiver_pool_.stats();
   }
-
-  // Surfaces MediumStats through a metrics registry as
-  // "<prefix>frames_offered" etc. — registry-backed views over the same
-  // struct fields (the struct keeps its layout and operator==).
-  void register_metrics(obs::MetricsRegistry& registry,
-                        const std::string& prefix = "radio.") const;
 
  private:
   // Dense registration index into `states_`; doubles as the deterministic

@@ -1,11 +1,9 @@
 #include "workload/scenario.h"
 
 #include <algorithm>
-#include <string>
 
 #include "common/arena.h"
 #include "common/assert.h"
-#include "obs/metrics.h"
 #include "obs/timeseries.h"
 
 namespace pds::wl {
@@ -33,14 +31,6 @@ std::vector<core::PdsNode*> Scenario::nodes() {
   out.reserve(order_.size());
   for (NodeId id : order_) out.push_back(&node(id));
   return out;
-}
-
-void Scenario::register_metrics(obs::MetricsRegistry& registry) {
-  medium_.register_metrics(registry, "radio.");
-  for (const NodeId id : order_) {
-    node(id).transport().register_metrics(
-        registry, "node" + std::to_string(id.value()) + ".transport.");
-  }
 }
 
 void Scenario::attach_sampler(obs::TimeSeries* sampler) {

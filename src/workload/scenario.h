@@ -17,7 +17,6 @@
 #include "sim/topology.h"
 
 namespace pds::obs {
-class MetricsRegistry;
 class Profiler;
 class TimeSeries;
 class Tracer;
@@ -59,7 +58,7 @@ class Scenario {
   void set_tracer(obs::Tracer* tracer) { sim_.set_tracer(tracer); }
 
   // Attaches the flight-recorder sampler (null detaches): registers the full
-  // column catalog (tools/stats_schema.h) and installs a collector that
+  // column catalog (tools/telemetry_schema.h) and installs a collector that
   // snapshots scheduler occupancy, radio channel state, transport backlogs,
   // per-node store/LQT state and pool/RSS probes at every interval boundary.
   // Reads state only — sampled and unsampled runs stay byte-identical. The
@@ -69,11 +68,6 @@ class Scenario {
   // Attaches the scoped wall-clock profiler (null detaches); subsystem
   // PDS_PROF_SCOPE sites resolve through the simulator.
   void set_profiler(obs::Profiler* profiler) { sim_.set_profiler(profiler); }
-
-  // Exposes the medium's stats plus every node's transport stats through
-  // `registry` ("radio.*", "node<N>.transport.*"). Call after all nodes are
-  // added; the registry must not outlive this scenario.
-  void register_metrics(obs::MetricsRegistry& registry);
 
   // Installs a fault schedule against this scenario's nodes: crash/restart
   // hooks route to PdsNode::crash/restart, radio effects go straight to the

@@ -1,10 +1,9 @@
 // Unit tests for the deterministic fault-schedule engine (sim/faults.h):
 // crash/restart radio semantics, per-pair loss overrides, Gilbert–Elliott
-// burst channels, buffer storms, schedule builders and counter/metrics
-// exposure — all at the sim layer, with dummy sinks instead of PDS nodes.
+// burst channels, buffer storms, schedule builders and the FaultStats
+// counters — all at the sim layer, with dummy sinks instead of PDS nodes.
 #include <gtest/gtest.h>
 
-#include "obs/metrics.h"
 #include "sim/faults.h"
 #include "sim/radio.h"
 #include "sim/simulator.h"
@@ -296,7 +295,7 @@ TEST(FaultInjector, SameSeedAndScheduleGiveIdenticalStats) {
   EXPECT_EQ(faults_a, faults_b);
 }
 
-TEST(FaultInjector, RegisterMetricsExposesCounters) {
+TEST(FaultInjector, StatsCountAppliedFaults) {
   Simulator sim(1);
   RadioMedium medium(sim, lossless());
   Collector a;
@@ -307,12 +306,10 @@ TEST(FaultInjector, RegisterMetricsExposesCounters) {
   injector.install(s);
   sim.run();
 
-  obs::MetricsRegistry registry;
-  injector.register_metrics(registry);
-  const auto snap = registry.snapshot();
-  EXPECT_EQ(snap.counters.at("faults.crashes"), 1u);
-  EXPECT_EQ(snap.counters.at("faults.restarts"), 1u);
-  EXPECT_EQ(snap.counters.at("faults.storms"), 0u);
+  const FaultStats& stats = injector.stats();
+  EXPECT_EQ(stats.crashes, 1u);
+  EXPECT_EQ(stats.restarts, 1u);
+  EXPECT_EQ(stats.storms, 0u);
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
-// Unit tests for src/obs: metrics registry (counters/gauges/histograms,
-// snapshot/diff/merge, exposed-struct views), the sim-time tracer (ring
-// buffer, NDJSON/Chrome rendering, macro no-eval guarantees) with the
-// tools/trace_reader.h parser, and the flight recorder (obs/timeseries.h
+// Unit tests for src/obs: the sim-time tracer (ring buffer, NDJSON/Chrome
+// rendering, macro no-eval guarantees) with the tools/trace_reader.h parser
+// and check_trace validator, and the flight recorder (obs/timeseries.h
 // sampler, obs/profiler.h scoped profiler) with the tools/stats_analysis.h
 // parser.
 #include <gtest/gtest.h>
@@ -14,108 +13,15 @@
 
 #include "common/arena.h"
 #include "common/sim_clock.h"
-#include "net/transport.h"
-#include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
-#include "sim/radio.h"
 #include "sim/simulator.h"
 #include "tools/stats_analysis.h"
 #include "tools/trace_reader.h"
-#include "workload/scenario.h"
 
 namespace pds::obs {
 namespace {
-
-TEST(MetricsRegistry, CounterHandlesAreStableAndIdempotent) {
-  MetricsRegistry registry;
-  Counter* a = registry.counter("pdd.rounds");
-  a->inc();
-  a->inc(4);
-  // Same name returns the same handle; churn must not invalidate it.
-  for (int i = 0; i < 100; ++i) {
-    registry.counter("churn." + std::to_string(i));
-  }
-  EXPECT_EQ(registry.counter("pdd.rounds"), a);
-  EXPECT_EQ(a->value(), 5u);
-}
-
-TEST(MetricsRegistry, GaugeAndHistogram) {
-  MetricsRegistry registry;
-  Gauge* g = registry.gauge("lqt.size");
-  g->set(3.0);
-  g->add(2.0);
-  EXPECT_DOUBLE_EQ(g->value(), 5.0);
-
-  Histogram* h = registry.histogram("latency_s", {0.1, 1.0, 10.0});
-  h->observe(0.05);   // bucket 0
-  h->observe(0.5);    // bucket 1
-  h->observe(100.0);  // overflow bucket
-  EXPECT_EQ(h->count(), 3u);
-  EXPECT_DOUBLE_EQ(h->sum(), 100.55);
-  ASSERT_EQ(h->buckets().size(), 4u);
-  EXPECT_EQ(h->buckets()[0], 1u);
-  EXPECT_EQ(h->buckets()[1], 1u);
-  EXPECT_EQ(h->buckets()[2], 0u);
-  EXPECT_EQ(h->buckets()[3], 1u);
-}
-
-TEST(MetricsRegistry, ExposedCounterIsAViewOverTheField) {
-  MetricsRegistry registry;
-  std::uint64_t field = 7;
-  registry.expose_counter("radio.frames_offered", &field);
-  EXPECT_EQ(registry.snapshot().counters.at("radio.frames_offered"), 7u);
-  // The registry reads through the pointer at snapshot time — hot-path
-  // increments stay plain `++field` on the original struct.
-  field += 3;
-  EXPECT_EQ(registry.snapshot().counters.at("radio.frames_offered"), 10u);
-}
-
-TEST(MetricsRegistry, SnapshotDiffAttributesAPhase) {
-  MetricsRegistry registry;
-  Counter* c = registry.counter("tx");
-  Gauge* g = registry.gauge("depth");
-  c->inc(10);
-  g->set(4.0);
-  const MetricsSnapshot before = registry.snapshot();
-  c->inc(5);
-  g->set(9.0);
-  const MetricsSnapshot delta = diff(registry.snapshot(), before);
-  EXPECT_EQ(delta.counters.at("tx"), 5u);
-  EXPECT_DOUBLE_EQ(delta.gauges.at("depth"), 9.0);  // gauges keep later value
-}
-
-TEST(MetricsRegistry, MergeAggregatesRuns) {
-  MetricsRegistry a, b;
-  a.counter("tx")->inc(3);
-  b.counter("tx")->inc(4);
-  b.counter("only_b")->inc(1);
-  a.histogram("h", {1.0})->observe(0.5);
-  b.histogram("h", {1.0})->observe(2.0);
-  const MetricsSnapshot sum = merge(a.snapshot(), b.snapshot());
-  EXPECT_EQ(sum.counters.at("tx"), 7u);
-  EXPECT_EQ(sum.counters.at("only_b"), 1u);
-  EXPECT_EQ(sum.histograms.at("h").count, 2u);
-  EXPECT_EQ(sum.histograms.at("h").buckets[0], 1u);
-  EXPECT_EQ(sum.histograms.at("h").buckets[1], 1u);
-}
-
-TEST(MetricsRegistry, ScenarioAdapterExposesRadioAndTransportStats) {
-  wl::GridSetup setup;
-  setup.nx = setup.ny = 2;
-  wl::Grid grid = wl::make_grid(setup, 1);
-  MetricsRegistry registry;
-  grid.scenario->register_metrics(registry);
-  const MetricsSnapshot snap = registry.snapshot();
-  // Medium stats and per-node transport stats appear under stable names.
-  EXPECT_TRUE(snap.counters.contains("radio.frames_transmitted"));
-  EXPECT_TRUE(snap.counters.contains("radio.bytes_transmitted"));
-  EXPECT_TRUE(snap.counters.contains("node0.transport.messages_sent"));
-  EXPECT_TRUE(snap.counters.contains("node3.transport.fragments_sent"));
-  EXPECT_TRUE(
-      snap.counters.contains("node0.transport.frames_dropped_overflow"));
-}
 
 TEST(SimClock, SimulatorRegistersClockAndScopedNodeNests) {
   EXPECT_EQ(current_sim_clock(), nullptr);
@@ -238,13 +144,60 @@ TEST(TraceReader, ParsesWriterOutputExactly) {
 }
 
 TEST(TraceReader, RejectsMalformedLines) {
-  std::istringstream in(
-      "{\"t\":1,\"node\":0,\"ph\":\"i\",\"sub\":\"s\",\"ev\":\"e\","
-      "\"args\":{}}\nnot json\n");
-  std::size_t bad_line = 0;
-  const auto events = tools::read_trace(in, bad_line);
-  EXPECT_EQ(events.size(), 1u);
-  EXPECT_EQ(bad_line, 2u);
+  const std::string good =
+      R"({"t":1,"node":0,"ph":"i","sub":"s","ev":"e","args":{}})";
+  for (const std::string& bad : {
+           std::string("not json"),
+           // A bare word where the timestamp's number belongs.
+           std::string(
+               R"({"t":abc,"node":0,"ph":"i","sub":"s","ev":"e","args":{}})"),
+           // Bytes after the closing brace.
+           good + "x",
+       }) {
+    std::istringstream in(good + "\n" + bad + "\n");
+    std::size_t bad_line = 0;
+    const auto events = tools::read_trace(in, bad_line);
+    EXPECT_EQ(events.size(), 1u) << bad;
+    EXPECT_EQ(bad_line, 2u) << bad;
+  }
+}
+
+// One line per defect, each after a clean line: check_trace flags exactly
+// the defective line, with the message `pdscli trace check` prints.
+TEST(TraceCheck, FlagsEachSeededDefect) {
+  struct Case {
+    const char* line;
+    const char* want;
+  };
+  const Case cases[] = {
+      {R"({"t":5,"node":0,"ph":"i","sub":"pdd","ev":"nope","args":{}})",
+       "unknown event pdd/nope"},
+      {R"({"t":5,"node":0,"ph":"B","sub":"radio","ev":"defer",)"
+       R"("args":{"wait_us":3}})",
+       "phase 'B' not allowed for radio/defer"},
+      {R"({"t":5,"node":0,"ph":"i","sub":"radio","ev":"tx",)"
+       R"("args":{"bytes":9}})",
+       "radio/tx missing required arg \"control\""},
+      {R"({"t":1,"node":0,"ph":"i","sub":"radio","ev":"defer",)"
+       R"("args":{"wait_us":3}})",
+       "timestamp decreased (events must be emitted in simulation order)"},
+      {R"({"t":5,"node":0,"ph":"E","sub":"pdd","ev":"round",)"
+       R"("args":{"round":1,"new":0,"total":0,"responses":0}})",
+       "span end without matching begin for pdd/round"},
+  };
+  const std::string clean =
+      R"({"t":2,"node":0,"ph":"i","sub":"radio","ev":"defer",)"
+      R"("args":{"wait_us":3}})";
+  for (const Case& c : cases) {
+    std::istringstream in(clean + "\n" + c.line + "\n");
+    std::size_t bad_line = 0;
+    const auto events = tools::read_trace(in, bad_line);
+    ASSERT_EQ(bad_line, 0u) << c.line;
+    const tools::TraceCheck check = tools::check_trace(events);
+    ASSERT_EQ(check.violations.size(), 1u) << c.line;
+    EXPECT_EQ(check.violations[0].line, 2u) << c.line;
+    EXPECT_EQ(check.violations[0].what, c.want);
+  }
 }
 
 TEST(TimeSeries, CommitsOneRowPerBoundaryAndSkipsStale) {

@@ -246,7 +246,7 @@ TEST(PdslintRules, DetectsUnregisteredTraceEvent) {
       "  PDS_TRACE_EMIT(t, 'E', now, n, \"pdd\", \"round\", {\"round\", 1});\n"
       "  PDS_TRACE_EMIT(t, 'i', now, n, \"nope\", \"nah\");\n"
       "}\n");
-  // Only the two (sub, ev) pairs missing from tools/trace_schema.h fire.
+  // Only the two (sub, ev) pairs missing from tools/telemetry_schema.h fire.
   EXPECT_EQ(count_rule(fs, "trace-schema"), 2);
 }
 
@@ -280,7 +280,8 @@ TEST(PdslintRules, DetectsUnregisteredStatsColumnAndScope) {
       "  PDS_PROF_SCOPE(prof, \"radio\");\n"
       "  PDS_PROF_SCOPE(prof, \"not-a-subsystem\");\n"
       "}\n");
-  // Only the column and the scope missing from tools/stats_schema.h fire.
+  // Only the column and the scope missing from tools/telemetry_schema.h
+  // fire.
   EXPECT_EQ(count_rule(fs, "stats-schema"), 2);
 }
 

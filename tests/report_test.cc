@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -41,6 +42,53 @@ TEST(JsonWriter, DoublesRoundTripThroughShortestForm) {
     std::string out;
     obs::append_json_double(out, v);
     EXPECT_EQ(std::strtod(out.c_str(), nullptr), v) << out;
+  }
+}
+
+// -- JSON reader -------------------------------------------------------------
+
+// Numbers follow the RFC 8259 grammar, \u takes exactly four hex digits and
+// decodes to UTF-8, and only the RFC's escapes are accepted. `want` is the
+// parsed value's display() text; nullptr means the input must be rejected.
+TEST(JsonReader, ParseJsonFollowsRfc8259) {
+  struct Case {
+    const char* input;
+    const char* want;
+  };
+  const Case cases[] = {
+      {"0", "0"},
+      {"-0", "-0"},
+      {"12", "12"},
+      {"-1.5e-3", "-1.5e-3"},
+      {"2E+10", "2E+10"},
+      {"1.2.3", nullptr},
+      {"-", nullptr},
+      {"+5", nullptr},
+      {"1e", nullptr},
+      {"--1", nullptr},
+      {"01", nullptr},
+      {"1.", nullptr},
+      {".5", nullptr},
+      {"[1,-]", nullptr},
+      {"\"\\u0041\"", "A"},
+      {"\"\\u00e9\"", "\xC3\xA9"},
+      {"\"\\u4e2d\"", "\xE4\xB8\xAD"},
+      {"\"\\ud83d\\ude00\"", "\xF0\x9F\x98\x80"},
+      {"\"\\uzz41\"", nullptr},
+      {"\"\\u12\"", nullptr},
+      {"\"\\ud83d\"", nullptr},
+      {"\"\\ude00\"", nullptr},
+      {"\"\\q\"", nullptr},
+      {"\"a\\/b\\r\"", "a/b\r"},
+  };
+  for (const Case& c : cases) {
+    const std::optional<tools::JsonValue> v = tools::parse_json(c.input);
+    if (c.want == nullptr) {
+      EXPECT_FALSE(v.has_value()) << c.input;
+    } else {
+      ASSERT_TRUE(v.has_value()) << c.input;
+      EXPECT_EQ(v->display(), c.want) << c.input;
+    }
   }
 }
 

@@ -4,7 +4,8 @@
 // kind) series projection is byte-identical across RadioConfig::shard_threads
 // 1/2/8 and across PDS_BENCH_JOBS worker pools, and (c) the scenario
 // collector populates exactly the columns registered in
-// tools/stats_schema.h with sane (non-negative, cumulative-monotone) values.
+// tools/telemetry_schema.h with sane (non-negative, cumulative-monotone)
+// values.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -17,7 +18,7 @@
 #include "obs/timeseries.h"
 #include "parallel_runs.h"
 #include "tools/stats_analysis.h"
-#include "tools/stats_schema.h"
+#include "tools/telemetry_schema.h"
 #include "workload/experiment.h"
 
 namespace pds::wl {

@@ -3,7 +3,8 @@
 // (b) the NDJSON bytes are identical whether the radio's spatial grid is on
 // or off, and (c) identical when runs execute on PDS_BENCH_JOBS>1 worker
 // threads (each worker owns its own Simulator and tracer; the thread-local
-// sim-clock context must not leak between them).
+// sim-clock context must not leak between them). The PDD, PDR and faulted
+// captures must also pass check_trace against the event catalog.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -15,6 +16,7 @@
 #include "obs/trace.h"
 #include "parallel_runs.h"
 #include "tools/trace_causal.h"
+#include "tools/trace_reader.h"
 #include "workload/experiment.h"
 
 namespace pds::wl {
@@ -39,6 +41,25 @@ bool same_outcome(const PddOutcome& a, const PddOutcome& b) {
          a.all_finished == b.all_finished &&
          a.per_consumer_recall == b.per_consumer_recall &&
          a.per_consumer_latency_s == b.per_consumer_latency_s;
+}
+
+std::vector<tools::ParsedEvent> parse(const obs::Tracer& tracer) {
+  std::stringstream ss;
+  tracer.write_ndjson(ss);
+  std::size_t bad_line = 0;
+  std::vector<tools::ParsedEvent> events = tools::read_trace(ss, bad_line);
+  EXPECT_EQ(bad_line, 0u);
+  return events;
+}
+
+// What `pdscli trace check` finds in a capture, one violation per line;
+// empty when the capture matches the event catalog.
+std::string violations(const std::vector<tools::ParsedEvent>& events) {
+  std::string out;
+  for (const tools::TraceViolation& v : tools::check_trace(events).violations) {
+    out += "line " + std::to_string(v.line) + ": " + v.what + "\n";
+  }
+  return out;
 }
 
 TEST(TraceDeterminism, TracedPddOutcomeBitIdenticalToUntraced) {
@@ -69,6 +90,7 @@ TEST(TraceDeterminism, TracedPdrOutcomeBitIdenticalToUntraced) {
   EXPECT_EQ(untraced.per_consumer_chunk_arrival_s,
             traced.per_consumer_chunk_arrival_s);
   EXPECT_FALSE(tracer.events().empty());
+  EXPECT_EQ(violations(parse(tracer)), "");
   ASSERT_EQ(traced.per_consumer_chunk_arrival_s.size(), 1u);
   EXPECT_FALSE(traced.per_consumer_chunk_arrival_s[0].empty());
 }
@@ -184,23 +206,25 @@ TEST(TraceDeterminism, AnalyzedRunsReportNoDroppedEvents) {
   obs::Tracer tracer(0);
   (void)run_pdd_grid(small_pdd(7, &tracer));
   EXPECT_EQ(tracer.dropped(), 0u);
-  std::stringstream ss;
-  tracer.write_ndjson(ss);
-  std::size_t bad_line = 0;
-  const auto events = tools::read_trace(ss, bad_line);
+  const auto events = parse(tracer);
   EXPECT_EQ(tools::analyze_causal(events).dropped_events, 0u);
+  EXPECT_EQ(violations(events), "");
 }
 
 TEST(TraceDeterminism, BoundedRingSurfacesDropCount) {
   obs::Tracer tracer(/*capacity=*/64);
   (void)run_pdd_grid(small_pdd(7, &tracer));
   ASSERT_GT(tracer.dropped(), 0u);
-  std::stringstream ss;
-  tracer.write_ndjson(ss);
-  std::size_t bad_line = 0;
-  const auto events = tools::read_trace(ss, bad_line);
+  const auto events = parse(tracer);
   // The trailer round-trips the exact eviction count into the analysis.
   EXPECT_EQ(tools::analyze_causal(events).dropped_events, tracer.dropped());
+  // ... and the checker fails the capture on it, at the trailer's line.
+  const tools::TraceCheck check = tools::check_trace(events);
+  ASSERT_FALSE(check.violations.empty());
+  EXPECT_EQ(check.violations.back().line, events.size());
+  EXPECT_EQ(check.violations.back().what,
+            "tracer dropped " + std::to_string(tracer.dropped()) +
+                " event(s) (ring buffer overflow)");
 }
 
 // -- Fault schedules ---------------------------------------------------------
@@ -235,8 +259,10 @@ TEST(TraceDeterminism, FaultedRunSameSeedSameScheduleByteIdentical) {
   EXPECT_TRUE(same_outcome(out_a, out_b));
   EXPECT_FALSE(a.events().empty());
   EXPECT_EQ(a.ndjson(), b.ndjson());
-  // The schedule's fault events must actually appear in the stream.
+  // The schedule's fault events must actually appear in the stream, and
+  // every one of them must match the event catalog.
   EXPECT_NE(a.ndjson().find("\"fault\""), std::string::npos);
+  EXPECT_EQ(violations(parse(a)), "");
 }
 
 TEST(TraceDeterminism, FaultedNdjsonBytesIdenticalUnderParallelJobs) {

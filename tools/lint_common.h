@@ -83,12 +83,13 @@ inline constexpr RuleSpec kRules[] = {
      "DecodeError / throw) instead of trusting wire bytes"},
     {"trace-schema", Severity::kError,
      "trace catalog completeness: every PDS_TRACE_* emission names a "
-     "(subsystem, event) registered in tools/trace_schema.h, so trace_check "
-     "can validate any capture and analysis tools never meet unknown events"},
+     "(subsystem, event) registered in tools/telemetry_schema.h, so "
+     "`pdscli trace check` can validate any capture and analysis tools never "
+     "meet unknown events"},
     {"stats-schema", Severity::kError,
      "flight-recorder catalog completeness: every PDS_TS_COLUMN column and "
      "PDS_PROF_SCOPE scope names an entry registered in "
-     "tools/stats_schema.h, so pdscli stats can render any capture and "
+     "tools/telemetry_schema.h, so pdscli stats can render any capture and "
      "resource gates never meet unknown series"},
     {"bad-suppression", Severity::kError,
      "suppression hygiene: a misspelled pdslint:allow(...) must fail loudly "

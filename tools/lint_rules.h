@@ -36,6 +36,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <string_view>
@@ -43,8 +44,7 @@
 
 #include "tools/lint_common.h"
 #include "tools/lint_lexer.h"
-#include "tools/stats_schema.h"
-#include "tools/trace_schema.h"
+#include "tools/telemetry_schema.h"
 
 namespace pds::lint {
 
@@ -492,9 +492,45 @@ inline void check_uninit_fields(const LexedFile& lexed,
   }
 }
 
+// Splits the macro call named by toks[i] at its top-level commas and returns,
+// per argument, the unquoted text of an argument that is one string literal
+// (nullopt for any other argument). Empty when toks[i] is not a call.
+inline std::vector<std::optional<std::string>> macro_string_args(
+    const std::vector<Token>& toks, std::size_t i) {
+  std::vector<std::optional<std::string>> args;
+  if (i + 1 >= toks.size() || toks[i + 1].text != "(") return args;
+  int depth = 0;
+  std::size_t arg_start = i + 2;
+  for (std::size_t j = i + 1; j < toks.size(); ++j) {
+    if (toks[j].kind != TokKind::kPunct) continue;
+    const std::string& t = toks[j].text;
+    bool boundary = false;
+    if (t == "(" || t == "{" || t == "[") {
+      ++depth;
+    } else if (t == ")" || t == "}" || t == "]") {
+      --depth;
+      if (depth == 0) boundary = true;
+    } else if (t == "," && depth == 1) {
+      boundary = true;
+    }
+    if (!boundary) continue;
+    // Lexer string tokens keep their quotes.
+    const std::string& first = toks[arg_start].text;
+    if (j == arg_start + 1 && toks[arg_start].kind == TokKind::kString &&
+        first.size() >= 2) {
+      args.emplace_back(first.substr(1, first.size() - 2));
+    } else {
+      args.emplace_back(std::nullopt);
+    }
+    arg_start = j + 1;
+    if (depth == 0) break;
+  }
+  return args;
+}
+
 // trace-schema: every PDS_TRACE_* emission whose subsystem and event are
-// literal strings must name a (sub, ev) pair registered in the
-// tools/trace_schema.h catalog. Computed names cannot be checked statically
+// literal strings must name a (sub, ev) pair registered in kEventCatalog
+// (tools/telemetry_schema.h). Computed names cannot be checked statically
 // and are skipped (the repo's emission sites all use literals).
 inline void check_trace_schema(const LexedFile& lexed,
                                const std::string& file,
@@ -517,61 +553,29 @@ inline void check_trace_schema(const LexedFile& lexed,
     } else {
       continue;
     }
-    if (i + 1 >= toks.size() || toks[i + 1].text != "(") continue;
-    // Split the macro call at top-level commas; record whether the sub/ev
-    // arguments are lone string literals and which ones.
-    int depth = 0;
-    std::size_t arg = 0;
-    std::size_t arg_start = i + 2;
-    const Token* sub_tok = nullptr;
-    const Token* ev_tok = nullptr;
-    for (std::size_t j = i + 1; j < toks.size(); ++j) {
-      if (toks[j].kind != TokKind::kPunct) continue;
-      const std::string& t = toks[j].text;
-      bool boundary = false;
-      if (t == "(" || t == "{" || t == "[") {
-        ++depth;
-      } else if (t == ")" || t == "}" || t == "]") {
-        --depth;
-        if (depth == 0) boundary = true;
-      } else if (t == "," && depth == 1) {
-        boundary = true;
-      }
-      if (!boundary) continue;
-      const bool lone_string =
-          j == arg_start + 1 && toks[arg_start].kind == TokKind::kString;
-      if (arg == sub_arg && lone_string) sub_tok = &toks[arg_start];
-      if (arg == sub_arg + 1 && lone_string) ev_tok = &toks[arg_start];
-      ++arg;
-      arg_start = j + 1;
-      if (depth == 0) break;
+    const auto args = macro_string_args(toks, i);
+    if (args.size() <= sub_arg + 1 || !args[sub_arg] || !args[sub_arg + 1]) {
+      continue;
     }
-    if (sub_tok == nullptr || ev_tok == nullptr) continue;
-    // Lexer string tokens keep their quotes.
-    const auto unquote = [](const std::string& s) {
-      return s.size() >= 2 ? s.substr(1, s.size() - 2) : s;
-    };
-    const std::string sub = unquote(sub_tok->text);
-    const std::string ev = unquote(ev_tok->text);
-    bool registered = false;
-    for (const tools::EventSchema& schema : tools::kEventCatalog) {
-      if (sub == schema.sub && ev == schema.ev) {
-        registered = true;
-        break;
-      }
-    }
+    const std::string& sub = *args[sub_arg];
+    const std::string& ev = *args[sub_arg + 1];
+    const bool registered = std::any_of(
+        tools::kEventCatalog.begin(), tools::kEventCatalog.end(),
+        [&](const tools::EventSchema& s) {
+          return sub == s.sub && ev == s.ev;
+        });
     if (!registered) {
       add_finding(out, sup, file, "trace-schema", toks[i].line,
                   "trace event " + sub + "/" + ev +
-                      " is not registered in tools/trace_schema.h");
+                      " is not registered in tools/telemetry_schema.h");
     }
   }
 }
 
 // stats-schema: every PDS_TS_COLUMN registration and PDS_PROF_SCOPE site
-// whose name is a literal string must be registered in tools/stats_schema.h
-// (kSeriesCatalog / kProfileScopeCatalog). Computed names cannot be checked
-// statically and are skipped.
+// whose name is a literal string must be registered in kSeriesCatalog /
+// kProfileScopeCatalog (tools/telemetry_schema.h). Computed names cannot be
+// checked statically and are skipped.
 inline void check_stats_schema(const LexedFile& lexed, const std::string& file,
                                const Suppressions& sup,
                                std::vector<Finding>& out) {
@@ -582,61 +586,26 @@ inline void check_stats_schema(const LexedFile& lexed, const std::string& file,
     const bool is_column = toks[i].text == "PDS_TS_COLUMN";
     const bool is_scope = toks[i].text == "PDS_PROF_SCOPE";
     if (!is_column && !is_scope) continue;
-    if (i + 1 >= toks.size() || toks[i + 1].text != "(") continue;
     // Both macros carry the name as argument 1 (0-indexed):
     // PDS_TS_COLUMN(ts, name[, kind]) / PDS_PROF_SCOPE(profiler, name).
-    constexpr std::size_t kNameArg = 1;
-    int depth = 0;
-    std::size_t arg = 0;
-    std::size_t arg_start = i + 2;
-    const Token* name_tok = nullptr;
-    for (std::size_t j = i + 1; j < toks.size(); ++j) {
-      if (toks[j].kind != TokKind::kPunct) continue;
-      const std::string& t = toks[j].text;
-      bool boundary = false;
-      if (t == "(" || t == "{" || t == "[") {
-        ++depth;
-      } else if (t == ")" || t == "}" || t == "]") {
-        --depth;
-        if (depth == 0) boundary = true;
-      } else if (t == "," && depth == 1) {
-        boundary = true;
-      }
-      if (!boundary) continue;
-      if (arg == kNameArg && j == arg_start + 1 &&
-          toks[arg_start].kind == TokKind::kString) {
-        name_tok = &toks[arg_start];
-      }
-      ++arg;
-      arg_start = j + 1;
-      if (depth == 0) break;
-    }
-    if (name_tok == nullptr) continue;
-    const std::string name =
-        name_tok->text.size() >= 2
-            ? name_tok->text.substr(1, name_tok->text.size() - 2)
-            : name_tok->text;
-    bool registered = false;
-    if (is_column) {
-      for (const tools::SeriesSchema& s : tools::kSeriesCatalog) {
-        if (name == s.name) {
-          registered = true;
-          break;
-        }
-      }
-    } else {
-      for (const char* s : tools::kProfileScopeCatalog) {
-        if (name == s) {
-          registered = true;
-          break;
-        }
-      }
-    }
+    const auto args = macro_string_args(toks, i);
+    if (args.size() < 2 || !args[1]) continue;
+    const std::string& name = *args[1];
+    const bool registered =
+        is_column
+            ? std::any_of(tools::kSeriesCatalog.begin(),
+                          tools::kSeriesCatalog.end(),
+                          [&](const tools::SeriesSchema& s) {
+                            return name == s.name;
+                          })
+            : std::find(tools::kProfileScopeCatalog.begin(),
+                        tools::kProfileScopeCatalog.end(),
+                        name) != tools::kProfileScopeCatalog.end();
     if (!registered) {
       add_finding(out, sup, file, "stats-schema", toks[i].line,
                   std::string(is_column ? "series column '"
                                         : "profiler scope '") +
-                      name + "' is not registered in tools/stats_schema.h");
+                      name + "' is not registered in tools/telemetry_schema.h");
     }
   }
 }

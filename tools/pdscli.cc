@@ -20,6 +20,9 @@
 // captured trace: per-round recall table, top talkers, retransmit heatmap.
 // `pdscli trace --json` emits the same statistics as a single JSON document
 // (schema pds-trace-report/1) for scripting instead of the text tables.
+// `pdscli trace check --file=FILE` validates a capture against the event
+// catalog (tools/telemetry_schema.h): exit 0 when clean, 1 on violations
+// (the first 20 printed), 2 on a usage or I/O error.
 //
 // Grid experiments (pdd/pdr/mdr) also accept --stats=FILE to capture the
 // final run's flight-recorder series (pds-timeseries/1 NDJSON, sampled every
@@ -93,6 +96,7 @@ int usage() {
       "       pdscli trace --file=<trace.ndjson> [--entries=N] [--json]\n"
       "       pdscli trace critpath --file=<trace.ndjson> [--top=N] "
       "[--json]\n"
+      "       pdscli trace check --file=<trace.ndjson>\n"
       "       pdscli stats --file=<stats.ndjson> [--json|--csv]\n"
       "  common:       --seed=N --runs=N --trace=FILE "
       "[--trace-format=chrome]\n"
@@ -540,35 +544,77 @@ void print_trace_json(const TraceStats& stats, double entries,
   std::printf("%s\n", w.str().c_str());
 }
 
-int run_trace_report(const Flags& flags) {
-  const std::string path = flags.get("file", "");
-  if (path.empty()) {
-    std::fprintf(stderr, "usage: pdscli trace --file=<trace.ndjson> "
-                         "[--entries=N] [--top=N] [--json]\n");
-    return 2;
+// The one load path every `pdscli trace` subcommand shares. A nonzero
+// `status` is the exit code, with the reason already printed: 2 for a
+// missing --file or an unreadable file, 1 for a malformed line.
+struct LoadedTrace {
+  std::string path;
+  std::vector<tools::ParsedEvent> events;
+  int status = 0;
+};
+
+LoadedTrace load_trace(const Flags& flags, const char* usage) {
+  LoadedTrace trace;
+  trace.path = flags.get("file", "");
+  if (trace.path.empty()) {
+    std::fprintf(stderr, "usage: %s\n", usage);
+    trace.status = 2;
+    return trace;
   }
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(trace.path, std::ios::binary);
   if (!in) {
-    std::fprintf(stderr, "pdscli: cannot open %s\n", path.c_str());
-    return 2;
+    std::fprintf(stderr, "pdscli: cannot open %s\n", trace.path.c_str());
+    trace.status = 2;
+    return trace;
   }
   std::size_t bad_line = 0;
-  const std::vector<tools::ParsedEvent> events =
-      tools::read_trace(in, bad_line);
+  trace.events = tools::read_trace(in, bad_line);
   if (bad_line != 0) {
     std::fprintf(stderr, "pdscli: malformed trace line %zu in %s\n", bad_line,
-                 path.c_str());
-    return 1;
+                 trace.path.c_str());
+    trace.status = 1;
   }
+  return trace;
+}
 
-  const TraceStats stats = compute_trace_stats(events);
+int run_trace_report(const Flags& flags) {
+  const LoadedTrace trace =
+      load_trace(flags, "pdscli trace --file=<trace.ndjson> [--entries=N] "
+                        "[--top=N] [--json]");
+  if (trace.status != 0) return trace.status;
+  const TraceStats stats = compute_trace_stats(trace.events);
   const double entries = flags.real("entries", 0.0);
   if (flags.get("json", "") == "1") {
-    print_trace_json(stats, entries, path);
+    print_trace_json(stats, entries, trace.path);
   } else {
     print_trace_text(stats, entries,
                      static_cast<std::size_t>(flags.num("top", 10)));
   }
+  return 0;
+}
+
+// -- `pdscli trace check` — validate against the telemetry catalog -----------
+
+int run_check_trace(const Flags& flags) {
+  const LoadedTrace trace =
+      load_trace(flags, "pdscli trace check --file=<trace.ndjson>");
+  if (trace.status != 0) return trace.status;
+  const tools::TraceCheck check = tools::check_trace(trace.events);
+  constexpr std::size_t kMaxReported = 20;
+  for (std::size_t i = 0; i < check.violations.size() && i < kMaxReported;
+       ++i) {
+    std::fprintf(stderr, "trace check: line %zu: %s\n",
+                 check.violations[i].line, check.violations[i].what.c_str());
+  }
+  for (const std::string& warning : check.warnings) {
+    std::fprintf(stderr, "trace check: warning: %s\n", warning.c_str());
+  }
+  if (!check.violations.empty()) {
+    std::fprintf(stderr, "trace check: %zu violation(s) in %zu event(s)\n",
+                 check.violations.size(), trace.events.size());
+    return 1;
+  }
+  std::printf("trace check: OK (%zu events)\n", trace.events.size());
   return 0;
 }
 
@@ -617,27 +663,11 @@ void print_critpath_text(const tools::CausalReport& report, std::size_t top) {
 }
 
 int run_trace_critpath(const Flags& flags) {
-  const std::string path = flags.get("file", "");
-  if (path.empty()) {
-    std::fprintf(stderr,
-                 "usage: pdscli trace critpath --file=<trace.ndjson> "
-                 "[--top=N] [--max-traces=N] [--json]\n");
-    return 2;
-  }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    std::fprintf(stderr, "pdscli: cannot open %s\n", path.c_str());
-    return 2;
-  }
-  std::size_t bad_line = 0;
-  const std::vector<tools::ParsedEvent> events =
-      tools::read_trace(in, bad_line);
-  if (bad_line != 0) {
-    std::fprintf(stderr, "pdscli: malformed trace line %zu in %s\n", bad_line,
-                 path.c_str());
-    return 1;
-  }
-  const tools::CausalReport report = tools::analyze_causal(events);
+  const LoadedTrace trace =
+      load_trace(flags, "pdscli trace critpath --file=<trace.ndjson> "
+                        "[--top=N] [--max-traces=N] [--json]");
+  if (trace.status != 0) return trace.status;
+  const tools::CausalReport report = tools::analyze_causal(trace.events);
   if (flags.get("json", "") == "1") {
     std::printf("%s\n",
                 tools::causal_report_json(
@@ -652,13 +682,13 @@ int run_trace_critpath(const Flags& flags) {
   // that a hard failure so CI smoke jobs cannot silently pass on bad data.
   if (report.total_orphans > 0) {
     std::fprintf(stderr, "pdscli: %zu orphan spans in %s\n",
-                 report.total_orphans, path.c_str());
+                 report.total_orphans, trace.path.c_str());
     return 1;
   }
   if (report.dropped_events > 0) {
     std::fprintf(stderr, "pdscli: tracer dropped %llu events in %s\n",
                  static_cast<unsigned long long>(report.dropped_events),
-                 path.c_str());
+                 trace.path.c_str());
     return 1;
   }
   return 0;
@@ -828,6 +858,9 @@ int run_main(int argc, char** argv) {
     experiment = "trace";
     if (argc > 2 && std::strcmp(argv[2], "critpath") == 0) {
       return run_trace_critpath(flags);
+    }
+    if (argc > 2 && std::strcmp(argv[2], "check") == 0) {
+      return run_check_trace(flags);
     }
   }
   // `pdscli stats --file=...` — flight-recorder subcommand form.

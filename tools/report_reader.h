@@ -1,15 +1,18 @@
-// Minimal recursive-descent JSON reader for the documents obs::Report emits
-// (BENCH_<experiment>.json, schema pds-bench-report/1). Unlike
-// trace_reader.h (flat NDJSON lines), report JSON nests objects and arrays,
-// so this parses a full value tree. Object member order is preserved —
-// pdsreport re-renders tables in emission order. Intentionally not a
-// general-purpose JSON library: no surrogate pairs, UTF-8 passed through.
+// Minimal recursive-descent JSON reader: the one parser behind every tool
+// that reads JSON — the documents obs::Report emits (BENCH_<experiment>.json,
+// schema pds-bench-report/1) and each NDJSON line of a trace
+// (trace_reader.h) or flight-recorder series (stats_analysis.h). It parses a
+// full value tree; object member order is preserved, since pdsreport
+// re-renders tables in emission order. Numbers follow the RFC 8259
+// grammar and keep their raw token; \u escapes (surrogate pairs included)
+// decode to UTF-8, and raw UTF-8 passes through.
 #pragma once
 
-#include <cctype>
+#include <charconv>
 #include <cstdlib>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -71,33 +74,61 @@ inline bool fail(std::string* error, const std::string& message) {
   return false;
 }
 
+// Reads the four hex digits of a \u escape starting at s[i].
+inline bool parse_hex4(const std::string& s, std::size_t& i, unsigned& out) {
+  if (i + 4 > s.size()) return false;
+  const char* first = s.data() + i;
+  const auto [ptr, ec] = std::from_chars(first, first + 4, out, 16);
+  i += 4;
+  return ec == std::errc{} && ptr == first + 4;
+}
+
+inline void append_utf8(std::string& out, unsigned cp) {
+  static constexpr unsigned kLead[] = {0x00, 0xC0, 0xE0, 0xF0};
+  // The lead byte, then `tail` continuation bytes of 6 bits each.
+  const int tail = cp < 0x80 ? 0 : cp < 0x800 ? 1 : cp < 0x10000 ? 2 : 3;
+  out.push_back(static_cast<char>(kLead[tail] | (cp >> (6 * tail))));
+  for (int k = tail - 1; k >= 0; --k) {
+    out.push_back(static_cast<char>(0x80 | ((cp >> (6 * k)) & 0x3F)));
+  }
+}
+
 inline bool parse_string(const std::string& s, std::size_t& i,
                          std::string& out, std::string* error) {
+  static constexpr std::string_view kEscapes = "\"\\/bfnrt";
+  static constexpr std::string_view kUnescaped = "\"\\/\b\f\n\r\t";
   if (i >= s.size() || s[i] != '"') return fail(error, "expected string");
   ++i;
   while (i < s.size() && s[i] != '"') {
-    char c = s[i++];
-    if (c == '\\') {
-      if (i >= s.size()) return fail(error, "truncated escape");
-      const char esc = s[i++];
-      switch (esc) {
-        case 'n': c = '\n'; break;
-        case 't': c = '\t'; break;
-        case 'b': c = '\b'; break;
-        case 'f': c = '\f'; break;
-        case 'r': c = '\r'; break;
-        case 'u': {
-          if (i + 4 > s.size()) return fail(error, "truncated \\u escape");
-          c = static_cast<char>(
-              std::strtol(s.substr(i, 4).c_str(), nullptr, 16));
-          i += 4;
-          break;
-        }
-        default:
-          c = esc;
-      }
+    const char c = s[i++];
+    if (c != '\\') {
+      out.push_back(c);
+      continue;
     }
-    out.push_back(c);
+    if (i >= s.size()) return fail(error, "truncated escape");
+    const char esc = s[i++];
+    if (esc != 'u') {
+      const std::size_t at = kEscapes.find(esc);
+      if (at == std::string_view::npos) return fail(error, "invalid escape");
+      out.push_back(kUnescaped[at]);
+      continue;
+    }
+    unsigned cp = 0;
+    if (!parse_hex4(s, i, cp)) {
+      return fail(error, "\\u escape needs four hex digits");
+    }
+    // A code point above U+FFFF arrives as a high + low surrogate pair.
+    if (cp >= 0xDC00 && cp <= 0xDFFF) return fail(error, "lone surrogate");
+    if (cp >= 0xD800 && cp <= 0xDBFF) {
+      unsigned low = 0;
+      if (s.compare(i, 2, "\\u") != 0) return fail(error, "lone surrogate");
+      i += 2;
+      if (!parse_hex4(s, i, low) || low < 0xDC00 || low > 0xDFFF) {
+        return fail(error, "lone surrogate");
+      }
+      cp = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
+    }
+    append_utf8(out, cp);
   }
   if (i >= s.size()) return fail(error, "unterminated string");
   ++i;  // closing quote
@@ -196,15 +227,28 @@ inline bool parse_value(const std::string& s, std::size_t& i, JsonValue& out,
     i += 4;
     return true;
   }
-  // Number token.
+  // Number token, RFC 8259: -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?
   const std::size_t start = i;
-  if (i < s.size() && (s[i] == '-' || s[i] == '+')) ++i;
-  while (i < s.size() &&
-         (std::isdigit(static_cast<unsigned char>(s[i])) != 0 || s[i] == '.' ||
-          s[i] == 'e' || s[i] == 'E' || s[i] == '-' || s[i] == '+')) {
+  const auto digits = [&s, &i] {
+    const std::size_t from = i;
+    while (i < s.size() && s[i] >= '0' && s[i] <= '9') ++i;
+    return i > from;
+  };
+  if (c == '-') ++i;
+  if (i < s.size() && s[i] == '0') {
     ++i;
+  } else if (!digits()) {
+    return fail(error, i == start ? "unexpected character" : "bad number");
   }
-  if (i == start) return fail(error, "unexpected character");
+  if (i < s.size() && s[i] == '.') {
+    ++i;
+    if (!digits()) return fail(error, "bad number");
+  }
+  if (i < s.size() && (s[i] == 'e' || s[i] == 'E')) {
+    ++i;
+    if (i < s.size() && (s[i] == '+' || s[i] == '-')) ++i;
+    if (!digits()) return fail(error, "bad number");
+  }
   out.type = JsonValue::Type::kNumber;
   out.text = s.substr(start, i - start);
   out.number = std::atof(out.text.c_str());
