@@ -203,7 +203,7 @@ DataDescriptor DataDescriptor::decode(ByteReader& r) {
   // A serialized attribute is at least 5 bytes (u16 name length + value
   // tag + u16 string length), so a count the remaining buffer cannot hold
   // is malformed; reject it before it drives the loop and the vector
-  // growth below (pdsflow wire-taint).
+  // growth below (pdslint wire-taint).
   if (std::size_t{n} * 5 > r.remaining()) {
     throw DecodeError("descriptor attribute count exceeds buffer");
   }

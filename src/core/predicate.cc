@@ -71,7 +71,7 @@ Filter Filter::decode(ByteReader& r) {
   const std::uint16_t n = r.get_u16();
   // A serialized predicate is at least 6 bytes (u16 attr length + u8
   // relation + value tag + u16 string length); reject counts the buffer
-  // cannot hold before they bound the loop (pdsflow wire-taint).
+  // cannot hold before they bound the loop (pdslint wire-taint).
   if (std::size_t{n} * 6 > r.remaining()) {
     throw DecodeError("predicate count exceeds buffer");
   }

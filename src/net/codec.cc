@@ -279,7 +279,7 @@ class EntryDecompressor {
     }
     // Stage into a local and commit after the last throw point so a
     // malformed dictionary never leaves the decompressor holding a
-    // partial name table (pdsflow decode-atomicity).
+    // partial name table (pdslint decode-atomicity).
     std::set<std::string> seen;
     std::vector<std::string> names;
     names.reserve(n);
@@ -334,7 +334,7 @@ class EntryDecompressor {
           // of this message throws, the whole decompressor (and with it
           // this partial chain state) is discarded by Codec::decode, so
           // the mid-loop member write is safe here.
-          prev = s;  // pdsflow:allow(decode-atomicity)
+          prev = s;  // pdslint:allow(decode-atomicity)
           value = std::move(s);
           break;
         }
@@ -551,7 +551,7 @@ Message Codec::decode(std::span<const std::byte> bytes) const {
     // Every wire count below is validated against the bytes actually left
     // in the buffer (scaled by the element's minimum encoded size) before
     // it bounds a loop, so a hostile length prefix cannot drive iteration
-    // or allocation past the frame (pdsflow wire-taint).
+    // or allocation past the frame (pdslint wire-taint).
     if (std::size_t{n_tokens} * 8 > r.remaining()) {
       throw DecodeError("ack token count exceeds buffer");
     }

@@ -28,8 +28,10 @@
 
 #include "common/sim_time.h"
 #include "common/types.h"
-#include "core/descriptor.h"
-#include "core/predicate.h"
+// Messages carry content-layer values by value (query filters and targets,
+// metadata entries), so these two net -> core includes are deliberate.
+#include "core/descriptor.h"  // pdslint:allow(layering)
+#include "core/predicate.h"   // pdslint:allow(layering)
 #include "net/bloom_delta.h"
 #include "sim/radio.h"
 #include "util/bloom_filter.h"

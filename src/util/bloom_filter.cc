@@ -151,7 +151,7 @@ BloomFilter BloomFilter::decode(std::span<const std::byte> in) {
   // The header promises one u64 per 64-bit word; a short buffer would
   // fail word-by-word below anyway, but checking up front keeps a hostile
   // header from forcing the full (up to 32 MiB) zeroed allocation first
-  // (pdsflow wire-taint).
+  // (pdslint wire-taint).
   const std::size_t words = (std::size_t{bits} + 63) / 64;
   if (r.remaining() < words * 8) {
     throw DecodeError("Bloom filter body exceeds buffer");

@@ -24,7 +24,8 @@ core::DataDescriptor random_descriptor(Rng& rng) {
   core::DataDescriptor d;
   const int attrs = static_cast<int>(rng.uniform_int(1, 6));
   for (int i = 0; i < attrs; ++i) {
-    const std::string name = "a" + std::to_string(rng.uniform_int(0, 9));
+    const std::string name =
+        std::string("a") + std::to_string(rng.uniform_int(0, 9));
     switch (rng.uniform_int(0, 2)) {
       case 0:
         d.set(name, rng.uniform_int(-1000000, 1000000));
@@ -86,7 +87,7 @@ Message random_message(Rng& rng) {
   if (m.is_query()) {
     const int preds = static_cast<int>(rng.uniform_int(0, 3));
     for (int i = 0; i < preds; ++i) {
-      m.filter.where("p" + std::to_string(i),
+      m.filter.where(std::string("p") + std::to_string(i),
                      static_cast<core::Relation>(rng.uniform_int(0, 5)),
                      rng.uniform_int(-100, 100));
     }

@@ -1,7 +1,10 @@
-// pdslint engine tests: every rule fires on a seeded fixture violation,
-// suppression comments work at line and file granularity, whitelisted files
-// are exempt, and the JSON findings report round-trips through the same
-// parser the bench-report toolchain uses.
+// pdslint engine tests: every rule fires on a seeded fixture violation and
+// stays quiet on the corrected form, whitelisted files and out-of-scope
+// paths are exempt, taint flows through locals / arguments / returns and is
+// erased by bounds comparisons, suppression comments work at line and file
+// granularity (a misspelled one is itself a finding), and the JSON findings
+// report is byte-deterministic and round-trips through the same parser the
+// bench-report toolchain uses.
 #include <algorithm>
 #include <string>
 #include <vector>
@@ -14,12 +17,12 @@
 namespace pds::lint {
 namespace {
 
-// Findings for `content` linted under a src/-like path (determinism rules
-// apply there and nothing is whitelisted).
+// Findings for `content` analyzed under a src/-like path, where every rule
+// family applies and nothing is whitelisted.
 std::vector<Finding> run(const std::string& content,
                          const std::string& path = "src/core/fixture.cc",
                          const std::vector<std::string>& header_names = {}) {
-  return lint_source(path, content, header_names);
+  return analyze({{path, content, header_names}}).findings;
 }
 
 int count_rule(const std::vector<Finding>& fs, const std::string& rule,
@@ -98,6 +101,13 @@ TEST(PdslintRules, WallClockWhitelistedForTimingBenches) {
             0);
   EXPECT_EQ(count_rule(run(src, "bench/perf_radio.cc"), "wall-clock"), 0);
   EXPECT_EQ(count_rule(run(src, "bench/fig03_singlehop.cc"), "wall-clock"), 1);
+}
+
+TEST(PdslintScope, TokenRulesSkipTestsAndExamples) {
+  const std::string src = "std::random_device rd;\n";
+  EXPECT_EQ(count_rule(run(src, "tests/fixture_test.cc"), "ambient-rng"), 0);
+  EXPECT_EQ(count_rule(run(src, "examples/fixture.cpp"), "ambient-rng"), 0);
+  EXPECT_EQ(count_rule(run(src, "src/core/fixture.cc"), "ambient-rng"), 1);
 }
 
 TEST(PdslintRules, DetectsAmbientParallelism) {
@@ -204,11 +214,9 @@ TEST(PdslintRules, DetectsUninitScalarFieldInCodecHeader) {
       "  std::vector<int> items;\n"         // class type, self-initializing
       "  std::uint64_t hash() const { return 0; }\n"  // function
       "};\n";
-  EXPECT_EQ(count_rule(lint_source("src/net/message.h", src), "uninit-field"),
-            1);
+  EXPECT_EQ(count_rule(run(src, "src/net/message.h"), "uninit-field"), 1);
   // The same text outside codec/message headers is out of scope.
-  EXPECT_EQ(count_rule(lint_source("src/sim/radio.h", src), "uninit-field"),
-            0);
+  EXPECT_EQ(count_rule(run(src, "src/sim/radio.h"), "uninit-field"), 0);
 }
 
 TEST(PdslintRules, DetectsUnvalidatedDecode) {
@@ -405,6 +413,296 @@ TEST(PdslintReport, FindingsAreSortedByFileLineRule) {
   const auto a = run("int x = rand();\nstd::random_device rd;\n");
   ASSERT_EQ(a.size(), 2u);
   EXPECT_LT(a[0].line, a[1].line);
+}
+
+// --- wire-taint ------------------------------------------------------------
+
+TEST(PdsflowTaint, UnvalidatedWireCountBoundsLoop) {
+  const auto fs = run(
+      "void decode(ByteReader& r, std::vector<int>& out) {\n"
+      "  const std::uint16_t n = r.get_u16();\n"
+      "  for (std::uint16_t i = 0; i < n; ++i) out.push_back(1);\n"
+      "}\n");
+  EXPECT_EQ(count_rule(fs, "wire-taint"), 1);
+}
+
+TEST(PdsflowTaint, BoundsComparisonSanitizes) {
+  const auto fs = run(
+      "void decode(ByteReader& r, std::vector<int>& out) {\n"
+      "  const std::uint16_t n = r.get_u16();\n"
+      "  if (std::size_t{n} * 4 > r.remaining()) {\n"
+      "    throw DecodeError(\"count exceeds buffer\");\n"
+      "  }\n"
+      "  for (std::uint16_t i = 0; i < n; ++i) out.push_back(1);\n"
+      "}\n");
+  EXPECT_EQ(count_rule(fs, "wire-taint"), 0);
+}
+
+TEST(PdsflowTaint, EnsureMacroSanitizes) {
+  const auto fs = run(
+      "void decode(ByteReader& r, std::vector<int>& v) {\n"
+      "  const std::uint32_t n = r.get_u32();\n"
+      "  PDS_ENSURE(n <= 64);\n"
+      "  v.resize(n);\n"
+      "}\n");
+  EXPECT_EQ(count_rule(fs, "wire-taint"), 0);
+}
+
+TEST(PdsflowTaint, TaintFlowsThroughLocalAssignment) {
+  const auto fs = run(
+      "void decode(ByteReader& r, std::vector<int>& v) {\n"
+      "  const std::uint32_t n = r.get_u32();\n"
+      "  const std::size_t count = n;\n"
+      "  v.resize(count);\n"
+      "}\n");
+  EXPECT_EQ(count_rule(fs, "wire-taint"), 1);
+}
+
+TEST(PdsflowTaint, StdMinMasksTaint) {
+  const auto fs = run(
+      "void decode(ByteReader& r, std::vector<int>& v) {\n"
+      "  const std::uint32_t n = r.get_u32();\n"
+      "  const std::size_t count = std::min<std::size_t>(n, 64);\n"
+      "  v.resize(count);\n"
+      "}\n");
+  EXPECT_EQ(count_rule(fs, "wire-taint"), 0);
+}
+
+TEST(PdsflowTaint, TaintedIndexAndNewArray) {
+  const auto fs = run(
+      "int pick(ByteReader& r, const std::vector<int>& v) {\n"
+      "  const std::uint32_t idx = r.get_u32();\n"
+      "  return v[idx];\n"
+      "}\n"
+      "char* grab(ByteReader& r) {\n"
+      "  const std::uint32_t n = r.get_u32();\n"
+      "  return new char[n];\n"
+      "}\n");
+  EXPECT_EQ(count_rule(fs, "wire-taint"), 2);
+}
+
+TEST(PdsflowTaint, InterproceduralSinkParameter) {
+  // `fill` uses its parameter 0 as a resize size without validation, so a
+  // wire-tainted argument at the call site is a finding.
+  const auto fs = run(
+      "void fill(std::size_t n, std::vector<int>& v) { v.resize(n); }\n"
+      "void decode(ByteReader& r, std::vector<int>& v) {\n"
+      "  const std::uint32_t n = r.get_u32();\n"
+      "  fill(n, v);\n"
+      "}\n");
+  EXPECT_EQ(count_rule(fs, "wire-taint"), 1);
+}
+
+TEST(PdsflowTaint, InterproceduralTaintedReturn) {
+  const auto fs = run(
+      "std::uint32_t read_count(ByteReader& r) { return r.get_u32(); }\n"
+      "void decode(ByteReader& r, std::vector<int>& v) {\n"
+      "  const std::uint32_t n = read_count(r);\n"
+      "  v.resize(n);\n"
+      "}\n");
+  EXPECT_EQ(count_rule(fs, "wire-taint"), 1);
+}
+
+TEST(PdsflowTaint, OutOfScopePathsAreExempt) {
+  const auto fs = run(
+      "void decode(ByteReader& r, std::vector<int>& v) {\n"
+      "  v.resize(r.get_u32());\n"
+      "  const std::uint16_t n = r.get_u16();\n"
+      "  for (std::uint16_t i = 0; i < n; ++i) v.push_back(1);\n"
+      "}\n",
+      "tests/fixture.cc");
+  EXPECT_EQ(count_rule(fs, "wire-taint"), 0);
+}
+
+// --- decode-atomicity ------------------------------------------------------
+
+TEST(PdsflowAtomicity, MemberMutationBeforeThrowIsFlagged) {
+  const auto fs = run(
+      "struct Table {\n"
+      "  void decode(ByteReader& r) {\n"
+      "    names_.push_back(r.get_string());\n"
+      "    if (r.get_u8() != 0) throw DecodeError(\"trailer\");\n"
+      "  }\n"
+      "  std::vector<std::string> names_;\n"
+      "};\n");
+  EXPECT_EQ(count_rule(fs, "decode-atomicity"), 1);
+}
+
+TEST(PdsflowAtomicity, CopyThenSwapIsClean) {
+  const auto fs = run(
+      "struct Table {\n"
+      "  void decode(ByteReader& r) {\n"
+      "    std::vector<std::string> tmp;\n"
+      "    tmp.push_back(r.get_string());\n"
+      "    if (r.get_u8() != 0) throw DecodeError(\"trailer\");\n"
+      "    names_ = std::move(tmp);\n"
+      "  }\n"
+      "  std::vector<std::string> names_;\n"
+      "};\n");
+  EXPECT_EQ(count_rule(fs, "decode-atomicity"), 0);
+}
+
+TEST(PdsflowAtomicity, MutationInsideThrowingLoopIsFlagged) {
+  const auto fs = run(
+      "struct Table {\n"
+      "  void decode(ByteReader& r, std::uint16_t n) {\n"
+      "    if (n > 8) throw DecodeError(\"count\");\n"
+      "    for (std::uint16_t i = 0; i < n; ++i) {\n"
+      "      names_.push_back(r.get_string());\n"
+      "    }\n"
+      "  }\n"
+      "  std::vector<std::string> names_;\n"
+      "};\n");
+  EXPECT_EQ(count_rule(fs, "decode-atomicity"), 1);
+}
+
+TEST(PdsflowAtomicity, MutationThroughMemberReferenceAlias) {
+  const auto fs = run(
+      "struct Table {\n"
+      "  void decode(ByteReader& r) {\n"
+      "    std::string& slot = prev_[0];\n"
+      "    slot = r.get_string();\n"
+      "    if (r.get_u8() != 0) throw DecodeError(\"trailer\");\n"
+      "  }\n"
+      "  std::vector<std::string> prev_;\n"
+      "};\n");
+  EXPECT_EQ(count_rule(fs, "decode-atomicity"), 1);
+}
+
+TEST(PdsflowAtomicity, BindingAConstReferenceIsNotAMutation) {
+  const auto fs = run(
+      "struct Table {\n"
+      "  std::string decode(ByteReader& r) {\n"
+      "    const std::string& name = names_[0];\n"
+      "    if (r.get_u8() != 0) throw DecodeError(\"trailer\");\n"
+      "    return name;\n"
+      "  }\n"
+      "  std::vector<std::string> names_;\n"
+      "};\n");
+  EXPECT_EQ(count_rule(fs, "decode-atomicity"), 0);
+}
+
+TEST(PdsflowAtomicity, ConstructorsAreExempt) {
+  const auto fs = run(
+      "struct Frame {\n"
+      "  explicit Frame(ByteReader& r) {\n"
+      "    words_.push_back(r.get_u64());\n"
+      "    if (r.get_u8() != 0) throw DecodeError(\"trailer\");\n"
+      "  }\n"
+      "  std::vector<std::uint64_t> words_;\n"
+      "};\n");
+  EXPECT_EQ(count_rule(fs, "decode-atomicity"), 0);
+}
+
+// --- layering --------------------------------------------------------------
+
+TEST(PdsflowLayering, LowerLayerIncludingHigherIsFlagged) {
+  const auto fs = run("#include \"core/predicate.h\"\n", "src/net/fixture.h");
+  ASSERT_EQ(count_rule(fs, "layering"), 1);
+  const auto it = std::find_if(fs.begin(), fs.end(), [](const Finding& f) {
+    return f.rule == "layering";
+  });
+  EXPECT_EQ(it->line, 1);
+  EXPECT_EQ(it->message,
+            "'src/net/fixture.h' (layer rank 4) includes "
+            "'core/predicate.h' (rank 5): lower layers must not depend on "
+            "higher ones");
+}
+
+TEST(PdsflowLayering, DownwardAndSameLayerIncludesAreClean) {
+  const auto fs = run(
+      "#include \"common/bytes.h\"\n"
+      "#include \"net/message.h\"\n"
+      "#include \"util/stats.h\"\n",
+      "src/core/fixture.h");
+  EXPECT_EQ(count_rule(fs, "layering"), 0);
+}
+
+TEST(PdsflowLayering, AppliesOutsideSrcScopeToo) {
+  const auto fs =
+      run("#include \"core/predicate.h\"\n", "tools/fixture_tool.cc");
+  EXPECT_EQ(count_rule(fs, "layering"), 0)
+      << "tools may include anything below them";
+  const auto low = run("#include \"sim/clock.h\"\n", "src/obs/fixture.h");
+  EXPECT_EQ(count_rule(low, "layering"), 1);
+}
+
+TEST(PdslintSuppression, AllowTagWaivesALayeringInclude) {
+  // A deliberate back-edge is waived on its include line, with its reason.
+  const auto fs = run(
+      "// Messages embed predicates by value.\n"
+      "#include \"core/predicate.h\"  // pdslint:allow(layering)\n",
+      "src/net/fixture.h");
+  EXPECT_EQ(count_rule(fs, "layering", /*suppressed=*/true), 1);
+  EXPECT_EQ(count_rule(fs, "layering", /*suppressed=*/false), 0);
+}
+
+// --- suppressions ----------------------------------------------------------
+
+TEST(PdsflowSuppression, AllowCommentSuppressesOnOffendingLine) {
+  const auto fs = run(
+      "void decode(ByteReader& r, std::vector<int>& v) {\n"
+      "  v.resize(r.get_u32());  // pdslint:allow(wire-taint)\n"
+      "}\n");
+  EXPECT_EQ(count_rule(fs, "wire-taint", /*suppressed=*/true), 1);
+  EXPECT_EQ(count_rule(fs, "wire-taint", /*suppressed=*/false), 0);
+}
+
+TEST(PdsflowSuppression, AllowFileCoversWholeFile) {
+  const auto fs = run(
+      "// pdslint:allow-file(wire-taint)\n"
+      "void decode(ByteReader& r, std::vector<int>& v) {\n"
+      "  v.resize(r.get_u32());\n"
+      "  std::vector<int> w;\n"
+      "  w.resize(r.get_u32());\n"
+      "}\n");
+  EXPECT_EQ(count_rule(fs, "wire-taint", /*suppressed=*/true), 2);
+  EXPECT_EQ(count_rule(fs, "wire-taint", /*suppressed=*/false), 0);
+}
+
+TEST(PdsflowSuppression, UnknownRuleNameIsBadSuppression) {
+  const auto fs = run("int x = 0;  // pdslint:allow(no-such-rule)\n");
+  EXPECT_EQ(count_rule(fs, "bad-suppression"), 1);
+}
+
+// --- report ----------------------------------------------------------------
+
+TEST(PdsflowReport, JsonParsesAndIsByteDeterministic) {
+  const std::vector<SourceFile> files = {
+      {"src/net/fixture.h", "#include \"core/predicate.h\"\n"},
+      {"src/net/fixture.cc",
+       "void decode(ByteReader& r, std::vector<int>& v) {\n"
+       "  v.resize(r.get_u32());\n"
+       "}\n"}};
+  const LintResult a = analyze(files);
+  const LintResult b = analyze(files);
+  const std::string ja = render_json(a.findings, a.summary);
+  EXPECT_EQ(ja, render_json(b.findings, b.summary));
+
+  std::string error;
+  const auto root = tools::parse_json(ja, &error);
+  ASSERT_TRUE(root.has_value()) << error;
+  const tools::JsonValue* schema = root->find("schema");
+  ASSERT_NE(schema, nullptr);
+  EXPECT_EQ(schema->text, kLintReportSchema);
+  const tools::JsonValue* rules = root->find("rules");
+  ASSERT_NE(rules, nullptr);
+  EXPECT_EQ(rules->items.size(), std::size(kRules));
+  const tools::JsonValue* findings = root->find("findings");
+  ASSERT_NE(findings, nullptr);
+  EXPECT_EQ(findings->items.size(), a.findings.size());
+}
+
+TEST(PdsflowReport, FindingsAreSortedAndCounted) {
+  const std::vector<SourceFile> files = {
+      {"src/net/b_fixture.h", "#include \"core/predicate.h\"\n"},
+      {"src/net/a_fixture.h", "#include \"core/descriptor.h\"\n"}};
+  const LintResult res = analyze(files);
+  ASSERT_EQ(res.findings.size(), 2u);
+  EXPECT_LE(res.findings[0].file, res.findings[1].file);
+  EXPECT_EQ(res.summary.errors, 2);
+  EXPECT_EQ(res.summary.files_scanned, 2);
+  EXPECT_EQ(res.summary.unsuppressed(), 2);
 }
 
 }  // namespace

@@ -13,7 +13,7 @@
 
 #include "bench_common.h"
 #include "obs/report.h"
-#include "tools/flow_analysis.h"
+#include "tools/lint_rules.h"
 #include "tools/report_checks.h"
 #include "tools/report_reader.h"
 #include "util/stats.h"
@@ -203,27 +203,27 @@ TEST(Report, ValidatorRejectsUnknownSchema) {
   EXPECT_FALSE(errors.empty());
 }
 
-// -- pds-flow-report/1 sidecar validation ------------------------------------
+// -- pds-lint-report/1 sidecar validation ------------------------------------
 
-TEST(FlowReport, RealAnalyzerOutputValidates) {
-  const flow::FlowResult res = flow::analyze(
+TEST(LintReport, RealAnalyzerOutputValidates) {
+  const lint::LintResult res = lint::analyze(
       {{"src/net/fixture.h", "#include \"core/predicate.h\"\n"},
        {"src/net/fixture.cc",
         "void decode(ByteReader& r, std::vector<int>& v) {\n"
         "  v.resize(r.get_u32());\n"
         "}\n"}});
-  const std::string json = flow::render_flow_json(res);
+  const std::string json = lint::render_json(res.findings, res.summary);
   const auto root = tools::parse_json(json);
   ASSERT_TRUE(root.has_value());
   std::vector<std::string> errors;
-  tools::validate_flow_report(*root, errors);
+  tools::validate_lint_report(*root, errors);
   EXPECT_TRUE(errors.empty()) << errors.front();
 }
 
-TEST(FlowReport, ValidatorRejectsDoctoredSummary) {
-  const flow::FlowResult res = flow::analyze(
+TEST(LintReport, ValidatorRejectsDoctoredSummary) {
+  const lint::LintResult res = lint::analyze(
       {{"src/net/fixture.h", "#include \"core/predicate.h\"\n"}});
-  std::string json = flow::render_flow_json(res);
+  std::string json = lint::render_json(res.findings, res.summary);
   const std::string needle = "\"errors\":1";
   const std::size_t at = json.find(needle);
   ASSERT_NE(at, std::string::npos);
@@ -231,22 +231,7 @@ TEST(FlowReport, ValidatorRejectsDoctoredSummary) {
   const auto root = tools::parse_json(json);
   ASSERT_TRUE(root.has_value());
   std::vector<std::string> errors;
-  tools::validate_flow_report(*root, errors);
-  EXPECT_FALSE(errors.empty());
-}
-
-TEST(FlowReport, ValidatorRequiresFingerprints) {
-  const flow::FlowResult res = flow::analyze(
-      {{"src/net/fixture.h", "#include \"core/predicate.h\"\n"}});
-  std::string json = flow::render_flow_json(res);
-  const std::string needle = ",\"fingerprint\":\"includes:core/predicate.h\"";
-  const std::size_t at = json.find(needle);
-  ASSERT_NE(at, std::string::npos);
-  json.erase(at, needle.size());
-  const auto root = tools::parse_json(json);
-  ASSERT_TRUE(root.has_value());
-  std::vector<std::string> errors;
-  tools::validate_flow_report(*root, errors);
+  tools::validate_lint_report(*root, errors);
   EXPECT_FALSE(errors.empty());
 }
 

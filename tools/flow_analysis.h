@@ -1,7 +1,7 @@
-// pdsflow rule engine (DESIGN.md §17): flow-sensitive static analysis over
+// pdslint flow rules (DESIGN.md §17): flow-sensitive static analysis over
 // the repo's pragmatic C++ subset, built on the same dependency-free lexer
-// as pdslint (tools/lint_lexer.h) plus a declaration/statement parser with
-// per-function statement trees and def-use taint tracking.
+// as the token rules (tools/lint_lexer.h) plus a declaration/statement
+// parser with per-function statement trees and def-use taint tracking.
 //
 // Three rule families:
 //
@@ -18,16 +18,15 @@
 //                      potential-throw point; copy-then-swap passes.
 //   layering         — the include graph must follow the architecture DAG
 //                      (common < util < obs < sim < net < core < workload
-//                      < tools < bench/tests/examples); grandfathered edges
-//                      live in a checked-in baseline file.
+//                      < tools < bench/tests/examples); a deliberate upward
+//                      include carries a pdslint:allow(layering) tag saying
+//                      why.
 //
 // Scope: wire-taint and decode-atomicity run only over files under src/
 // (tests construct malformed inputs on purpose); layering covers the whole
-// tree. Suppress with a pdsflow:allow comment naming rule ids in
-// parentheses on or above the line, or the pdsflow:allow-file form
-// file-wide — audited exactly like pdslint's tags (lint_common.h).
-// PDS_ENSURE aborts rather than throwing,
-// so it counts as validation for taint but never as a throw point.
+// tree. Suppressions are the pdslint:allow tags of tools/lint_common.h.
+// PDS_ENSURE aborts rather than throwing, so it counts as validation for
+// taint but never as a throw point.
 #pragma once
 
 #include <algorithm>
@@ -37,7 +36,6 @@
 #include <set>
 #include <string>
 #include <string_view>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -48,94 +46,16 @@ namespace pds::flow {
 
 using lint::Finding;
 using lint::LexedFile;
-using lint::LintSummary;
-using lint::Severity;
+using lint::ScannedFile;
 using lint::Suppressions;
 using lint::Token;
 using lint::TokKind;
-
-// One input to analyze(); `path` is the repo-relative display path and
-// decides rule scoping (src/ vs the rest).
-struct SourceFile {
-  std::string path;
-  std::string content;
-};
-
-// One waived finding: matches on (rule, file, fingerprint), never on line
-// numbers, so unrelated edits don't invalidate the baseline.
-struct BaselineEntry {
-  std::string rule;
-  std::string file;
-  std::string fingerprint;
-};
-
-struct FlowOptions {
-  std::vector<BaselineEntry> baseline;
-};
-
-struct FlowResult {
-  std::vector<Finding> findings;
-  LintSummary summary;
-};
-
-// ---------------------------------------------------------------------------
-// Baseline file format: `<rule> <file> <fingerprint>` per line, `#` comments.
-
-inline std::vector<BaselineEntry> parse_baseline(std::string_view text) {
-  std::vector<BaselineEntry> out;
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    std::size_t eol = text.find('\n', pos);
-    if (eol == std::string_view::npos) eol = text.size();
-    std::string_view line = text.substr(pos, eol - pos);
-    pos = eol + 1;
-    // split on runs of spaces/tabs
-    std::vector<std::string> fields;
-    std::size_t i = 0;
-    while (i < line.size()) {
-      while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) ++i;
-      std::size_t b = i;
-      while (i < line.size() && line[i] != ' ' && line[i] != '\t') ++i;
-      if (i > b) fields.emplace_back(line.substr(b, i - b));
-    }
-    if (fields.empty() || fields[0][0] == '#') {
-      if (pos > text.size()) break;
-      continue;
-    }
-    if (fields.size() == 3) out.push_back({fields[0], fields[1], fields[2]});
-    if (pos > text.size()) break;
-  }
-  return out;
-}
-
-// Regenerates the baseline from findings: every finding that is not waived
-// by an inline allow comment (baselined ones included, so the output is a
-// full replacement for the checked-in file). Byte-deterministic.
-inline std::string render_baseline(const std::vector<Finding>& findings) {
-  std::vector<std::string> lines;
-  for (const Finding& f : findings) {
-    if (f.suppressed && !f.baselined) continue;  // inline-suppressed
-    if (f.fingerprint.empty()) continue;
-    lines.push_back(f.rule + " " + f.file + " " + f.fingerprint);
-  }
-  std::sort(lines.begin(), lines.end());
-  lines.erase(std::unique(lines.begin(), lines.end()), lines.end());
-  std::string out =
-      "# pdsflow baseline — waived findings, one per line:\n"
-      "#   <rule> <file> <fingerprint>\n"
-      "# Regenerate with: pdsflow --write-baseline=tools/pdsflow_baseline.txt\n";
-  for (const std::string& l : lines) {
-    out += l;
-    out += '\n';
-  }
-  return out;
-}
 
 // ---------------------------------------------------------------------------
 // Layering: the architecture DAG. A file may include headers of its own
 // layer or lower ranks; an include pointing at a strictly higher rank is a
 // back-edge. Paths are matched on their first component (after stripping a
-// leading `src/`), so `src/net/codec.cc`, `tools/pdsflow.cc` and
+// leading `src/`), so `src/net/codec.cc`, `tools/pdslint.cc` and
 // `tests/foo.cc` all resolve; includes without a known first component
 // (same-directory, system, third-party) are exempt.
 
@@ -685,5 +605,5 @@ inline std::vector<Function> collect_functions(
 
 }  // namespace pds::flow
 
-// (part 2: taint/atomicity engines, layering scan and analyze() follow)
+// (part 2: taint/atomicity engines, layering scan and check_flow() follow)
 #include "tools/flow_engine.h"

@@ -1,7 +1,7 @@
-// pdsflow analysis engine (DESIGN.md §17) — part 2 of tools/flow_analysis.h:
-// the taint lattice walker, decode-atomicity event analysis, layering scan
-// and the analyze() entry point. Split from the parser for readability;
-// include tools/flow_analysis.h, never this file directly.
+// pdslint flow engine (DESIGN.md §17) — part 2 of tools/flow_analysis.h:
+// the taint lattice and the sink, throw-point and mutation scans. Split from
+// the parser for readability; include tools/flow_analysis.h, never this file
+// directly.
 #pragma once
 
 #include "tools/flow_analysis.h"
@@ -115,19 +115,11 @@ struct FnCtx {
   int try_depth = 0;
 };
 
-inline void add_flow_finding(FnCtx& ctx, const char* rule, int line,
-                             std::string message, std::string fingerprint) {
+inline void add_flow_finding(const FnCtx& ctx, const char* rule, int line,
+                             std::string message) {
   if (ctx.out == nullptr) return;
-  const lint::RuleSpec* spec = lint::find_flow_rule(rule);
-  Finding f;
-  f.rule = rule;
-  f.severity = spec != nullptr ? spec->severity : Severity::kError;
-  f.file = *ctx.file;
-  f.line = line;
-  f.message = std::move(message);
-  f.suppressed = lint::suppressed_at(*ctx.sup, f.rule, line);
-  f.fingerprint = std::move(fingerprint);
-  ctx.out->push_back(std::move(f));
+  lint::add_finding(*ctx.out, *ctx.sup, *ctx.file, rule, line,
+                    std::move(message));
 }
 
 // Evaluates the taint of the expression tokens in [b, e). Flat scan:
@@ -275,8 +267,7 @@ inline void scan_sinks(FnCtx& ctx, Env& env, std::size_t b, std::size_t e) {
                 "wire-tainted value '" + a.who + "' reaches ." + m +
                     "() in '" + ctx.fn->display +
                     "' without a bounds check — validate it against "
-                    "remaining() or a cap first (allocation bomb)",
-                "taint:" + ctx.fn->name + ":" + m + ":" + a.who);
+                    "remaining() or a cap first (allocation bomb)");
           }
           ctx.self.sink_params |= a.taint.params;
         }
@@ -299,8 +290,7 @@ inline void scan_sinks(FnCtx& ctx, Env& env, std::size_t b, std::size_t e) {
                 ctx, "wire-taint", toks[k].line,
                 "wire-tainted value '" + a.who + "' sizes a new[] in '" +
                     ctx.fn->display +
-                    "' without a bounds check (allocation bomb)",
-                "taint:" + ctx.fn->name + ":new[]:" + a.who);
+                    "' without a bounds check (allocation bomb)");
           }
           ctx.self.sink_params |= a.taint.params;
           break;
@@ -317,8 +307,7 @@ inline void scan_sinks(FnCtx& ctx, Env& env, std::size_t b, std::size_t e) {
         add_flow_finding(
             ctx, "wire-taint", t.line,
             "wire-tainted value '" + a.who + "' used as an index in '" +
-                ctx.fn->display + "' without a bounds check (OOB access)",
-            "taint:" + ctx.fn->name + ":index:" + a.who);
+                ctx.fn->display + "' without a bounds check (OOB access)");
       }
       ctx.self.sink_params |= a.taint.params;
     }
@@ -340,8 +329,7 @@ inline void scan_sinks(FnCtx& ctx, Env& env, std::size_t b, std::size_t e) {
                 "wire-tainted value '" + a.who + "' passed to '" + t.text +
                     "()' (parameter " + std::to_string(k) +
                     "), which uses it as a size or index without a bounds "
-                    "check",
-                "taint:" + ctx.fn->name + ":call-" + t.text + ":" + a.who);
+                    "check");
           }
           ctx.self.sink_params |= a.taint.params;
         }

@@ -1,7 +1,7 @@
-// pdsflow analysis engine (DESIGN.md §17) — part 3 of tools/flow_analysis.h:
-// the statement walker tying the taint/atomicity scans together, the
-// layering scan, analyze() and the report renderer. Include
-// tools/flow_analysis.h, never this file directly.
+// pdslint flow engine (DESIGN.md §17) — part 3 of tools/flow_analysis.h:
+// the statement walker tying the taint/atomicity scans together,
+// check_flow() and the layering scan. Include tools/flow_analysis.h, never
+// this file directly.
 #pragma once
 
 #include "tools/flow_engine.h"
@@ -183,8 +183,7 @@ inline void walk_stmt(FnCtx& ctx, Env& env, const Stmt& s) {
             "wire-tainted value '" + cond.who + "' bounds a loop in '" +
                 ctx.fn->display +
                 "' without validation — an attacker-controlled count drives "
-                "iteration and allocation",
-            "taint:" + ctx.fn->name + ":loop-bound:" + cond.who);
+                "iteration and allocation");
         // Avoid cascading findings from the same unchecked bound.
         sanitize_range(ctx, env, s.head_begin, s.head_end);
       }
@@ -292,14 +291,12 @@ inline Summary analyze_function(const std::vector<Token>& toks,
       }
       if (hazard) {
         flagged.insert(m.name);
-        FnCtx report = ctx;  // reuse the finding helper with ctx state
         add_flow_finding(
-            report, "decode-atomicity", m.line,
+            ctx, "decode-atomicity", m.line,
             "member '" + m.name + "' is mutated in '" + fn.display +
                 "' before a later potential DecodeError throw point — a "
                 "malformed input leaves partial state; stage into locals "
-                "and commit after the last throw (copy-then-swap)",
-            "atomicity:" + fn.name + ":" + m.name);
+                "and commit after the last throw (copy-then-swap)");
       }
     }
   }
@@ -309,11 +306,10 @@ inline Summary analyze_function(const std::vector<Token>& toks,
 // ---------------------------------------------------------------------------
 // Layering scan over the include directives of one lexed file.
 
-inline void scan_layering(const std::vector<Token>& toks,
-                          const std::string& file, const Suppressions& sup,
-                          std::vector<Finding>& out) {
-  const int from_rank = file_layer_rank(file);
+inline void scan_layering(const ScannedFile& file, std::vector<Finding>& out) {
+  const int from_rank = file_layer_rank(file.path);
   if (from_rank < 0) return;
+  const std::vector<Token>& toks = file.lexed.tokens;
   for (std::size_t i = 0; i + 2 < toks.size(); ++i) {
     if (!is_punct(toks[i], "#") || !is_ident(toks[i + 1], "include") ||
         toks[i + 2].kind != TokKind::kString) {
@@ -324,18 +320,11 @@ inline void scan_layering(const std::vector<Token>& toks,
     const std::string inc = quoted.substr(1, quoted.size() - 2);
     const int to_rank = layer_rank(first_path_component(inc));
     if (to_rank < 0 || to_rank <= from_rank) continue;
-    const lint::RuleSpec* spec = lint::find_flow_rule("layering");
-    Finding f;
-    f.rule = "layering";
-    f.severity = spec->severity;
-    f.file = file;
-    f.line = toks[i].line;
-    f.message = "'" + file + "' (layer rank " + std::to_string(from_rank) +
-                ") includes '" + inc + "' (rank " + std::to_string(to_rank) +
-                "): lower layers must not depend on higher ones";
-    f.suppressed = lint::suppressed_at(sup, f.rule, f.line);
-    f.fingerprint = "includes:" + inc;
-    out.push_back(std::move(f));
+    lint::add_finding(out, file.sup, file.path, "layering", toks[i].line,
+                      "'" + file.path + "' (layer rank " +
+                          std::to_string(from_rank) + ") includes '" + inc +
+                          "' (rank " + std::to_string(to_rank) +
+                          "): lower layers must not depend on higher ones");
   }
 }
 
@@ -346,43 +335,30 @@ inline bool in_flow_scope(const std::string& path) {
 }  // namespace flow_detail
 
 // ---------------------------------------------------------------------------
-// Entry point. Lexes and parses every file, builds interprocedural
-// summaries over the src/ scope to a fixpoint (three joins — enough for the
-// call-depths in this tree), then emits findings, applies the baseline and
-// summarizes. Deterministic: files are processed in the given order and
-// findings are fully sorted.
+// The flow rules over `files`: layering over every file, wire-taint and
+// decode-atomicity over the src/ ones. Builds interprocedural summaries to a
+// fixpoint (three joins — enough for the call-depths in this tree), then
+// emits findings. Deterministic: files are processed in the given order.
 
-inline FlowResult analyze(const std::vector<SourceFile>& files,
-                          const FlowOptions& opts = {}) {
+inline void check_flow(const std::vector<ScannedFile>& files,
+                       std::vector<Finding>& out) {
   using namespace flow_detail;
-
-  struct FileState {
-    const SourceFile* src = nullptr;
-    LexedFile lexed;
-    Suppressions sup;
-    std::vector<Function> fns;
-  };
-  std::vector<FileState> states;
-  states.reserve(files.size());
-  for (const SourceFile& f : files) {
-    FileState st;
-    st.src = &f;
-    st.lexed = lint::lex(f.content);
-    st.sup = lint::collect_suppressions(st.lexed, f.path, "pdsflow");
-    if (in_flow_scope(f.path)) {
-      st.fns = collect_functions(st.lexed.tokens);
+  std::vector<std::vector<Function>> fns(files.size());
+  for (std::size_t i = 0; i < files.size(); ++i) {
+    if (in_flow_scope(files[i].path)) {
+      fns[i] = collect_functions(files[i].lexed.tokens);
     }
-    states.push_back(std::move(st));
   }
 
   // Summary fixpoint: joins are monotone, so a few rounds suffice for the
   // transitive call chains in this tree.
   SummaryMap summaries;
   for (int round = 0; round < 3; ++round) {
-    for (const FileState& st : states) {
-      for (const Function& fn : st.fns) {
-        const Summary s = analyze_function(st.lexed.tokens, fn, summaries,
-                                           st.src->path, nullptr, nullptr);
+    for (std::size_t i = 0; i < files.size(); ++i) {
+      for (const Function& fn : fns[i]) {
+        const Summary s = analyze_function(files[i].lexed.tokens, fn,
+                                           summaries, files[i].path, nullptr,
+                                           nullptr);
         Summary& merged = summaries[fn.name];
         merged.returns.join(s.returns);
         merged.sink_params |= s.sink_params;
@@ -392,42 +368,13 @@ inline FlowResult analyze(const std::vector<SourceFile>& files,
   }
 
   // Emitting pass.
-  std::vector<Finding> findings;
-  for (const FileState& st : states) {
-    findings.insert(findings.end(), st.sup.bad.begin(), st.sup.bad.end());
-    scan_layering(st.lexed.tokens, st.src->path, st.sup, findings);
-    for (const Function& fn : st.fns) {
-      analyze_function(st.lexed.tokens, fn, summaries, st.src->path, &st.sup,
-                       &findings);
+  for (std::size_t i = 0; i < files.size(); ++i) {
+    scan_layering(files[i], out);
+    for (const Function& fn : fns[i]) {
+      analyze_function(files[i].lexed.tokens, fn, summaries, files[i].path,
+                       &files[i].sup, &out);
     }
   }
-
-  // Baseline: match on (rule, file, fingerprint); matched findings count as
-  // suppressed but stay in the report flagged `baselined`.
-  std::set<std::tuple<std::string, std::string, std::string>> baseline;
-  for (const BaselineEntry& b : opts.baseline) {
-    baseline.insert({b.rule, b.file, b.fingerprint});
-  }
-  for (Finding& f : findings) {
-    if (!f.suppressed && !f.fingerprint.empty() &&
-        baseline.count({f.rule, f.file, f.fingerprint}) != 0) {
-      f.suppressed = true;
-      f.baselined = true;
-    }
-  }
-
-  lint::sort_findings(findings);
-  FlowResult res;
-  res.summary = lint::summarize(findings, static_cast<int>(files.size()));
-  res.findings = std::move(findings);
-  return res;
-}
-
-// Machine-readable findings report (schema pds-flow-report/1), shaped like
-// pds-lint-report/1 plus per-finding fingerprints.
-inline std::string render_flow_json(const FlowResult& res) {
-  return lint::render_findings_json(lint::kFlowReportSchema, lint::kFlowRules,
-                                    res.findings, res.summary);
 }
 
 }  // namespace pds::flow

@@ -1,18 +1,10 @@
-// Shared plumbing for the repo's static-analysis tools (DESIGN.md §12, §17).
+// Shared plumbing of pdslint's two rule families (DESIGN.md §12, §17).
 //
-// pdslint (token-level invariant checks, tools/lint_rules.h) and pdsflow
-// (flow-sensitive wire-taint/atomicity/layering analysis,
-// tools/flow_analysis.h) share everything that is not a rule: the finding
-// and summary types, the severity model, the audited suppression machinery,
-// the deterministic JSON report rendering, and the CLI file-gathering
-// helpers. Keeping these here means the two linters cannot diverge on
-// suppression syntax or report shape.
-//
-// Suppressions are multi-tool by design: both linters parse BOTH the
-// pdslint and pdsflow allow-comment families, so a typo
-// in either tool's tag is a `bad-suppression` finding no matter which tool
-// scans the file first — a misspelled suppression must never silently
-// disable a gate. Each tool only *honors* its own prefix.
+// The token rules (tools/lint_rules.h) and the flow rules
+// (tools/flow_analysis.h) share everything that is not a check: the one rule
+// table, the finding and summary types, the severity model, the audited
+// suppression tags, the deterministic JSON report and the CLI
+// file-gathering helpers.
 #pragma once
 
 #include <algorithm>
@@ -22,7 +14,6 @@
 #include <fstream>
 #include <map>
 #include <set>
-#include <span>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -34,9 +25,8 @@
 
 namespace pds::lint {
 
-// Schema identifiers of the machine-readable findings reports.
+// Schema identifier of the machine-readable findings report.
 inline constexpr const char* kLintReportSchema = "pds-lint-report/1";
-inline constexpr const char* kFlowReportSchema = "pds-flow-report/1";
 
 enum class Severity { kWarning, kError };
 
@@ -44,8 +34,8 @@ inline const char* severity_name(Severity s) {
   return s == Severity::kError ? "error" : "warning";
 }
 
-// One rule row. Adding a rule = adding a row to the owning tool's table plus
-// a check routine there.
+// One rule row. Adding a rule = adding a row here plus a check routine in
+// tools/lint_rules.h (token rules) or tools/flow_analysis.h (flow rules).
 struct RuleSpec {
   const char* id;
   Severity severity;
@@ -53,9 +43,6 @@ struct RuleSpec {
   // the JSON report.
   const char* invariant;
 };
-
-// ---------------------------------------------------------------------------
-// pdslint rule table (checks live in tools/lint_rules.h).
 
 inline constexpr RuleSpec kRules[] = {
     {"wall-clock", Severity::kError,
@@ -91,15 +78,6 @@ inline constexpr RuleSpec kRules[] = {
      "PDS_PROF_SCOPE scope names an entry registered in "
      "tools/telemetry_schema.h, so pdscli stats can render any capture and "
      "resource gates never meet unknown series"},
-    {"bad-suppression", Severity::kError,
-     "suppression hygiene: a misspelled pdslint:allow(...) must fail loudly "
-     "rather than silently disabling a gate"},
-};
-
-// ---------------------------------------------------------------------------
-// pdsflow rule table (checks live in tools/flow_analysis.h).
-
-inline constexpr RuleSpec kFlowRules[] = {
     {"wire-taint", Severity::kError,
      "allocation/OOB safety: a length or count decoded from the wire is "
      "attacker-controlled until compared against a bound; it must not reach "
@@ -110,27 +88,19 @@ inline constexpr RuleSpec kFlowRules[] = {
      "so a malformed frame never leaves caches half-updated"},
     {"layering", Severity::kError,
      "architecture DAG: includes must point from higher layers to lower "
-     "ones (common < util < obs < sim < net < core < workload < tools); new "
-     "back-edges fail CI unless baselined in tools/pdsflow_baseline.txt"},
+     "ones (common < util < obs < sim < net < core < workload < tools); a "
+     "back-edge fails CI unless its include line carries a "
+     "pdslint:allow(layering) that states why"},
     {"bad-suppression", Severity::kError,
-     "suppression hygiene: a misspelled pdsflow:allow(...) must fail loudly "
+     "suppression hygiene: a misspelled pdslint:allow(...) must fail loudly "
      "rather than silently disabling a gate"},
 };
 
-inline const RuleSpec* find_rule_in(std::span<const RuleSpec> rules,
-                                    std::string_view id) {
-  for (const RuleSpec& r : rules) {
+inline const RuleSpec* find_rule(std::string_view id) {
+  for (const RuleSpec& r : kRules) {
     if (id == r.id) return &r;
   }
   return nullptr;
-}
-
-inline const RuleSpec* find_rule(std::string_view id) {
-  return find_rule_in(kRules, id);
-}
-
-inline const RuleSpec* find_flow_rule(std::string_view id) {
-  return find_rule_in(kFlowRules, id);
 }
 
 // ---------------------------------------------------------------------------
@@ -143,13 +113,6 @@ struct Finding {
   int line = 1;
   std::string message;
   bool suppressed = false;
-  // pdsflow only: stable, line-free identity used by the baseline file and
-  // emitted in the JSON report when non-empty. Empty for pdslint findings.
-  std::string fingerprint;
-  // True when the finding was waived by an entry in the baseline file (as
-  // opposed to an inline allow comment). Baselined findings count as
-  // suppressed in the summary.
-  bool baselined = false;
 };
 
 struct LintSummary {
@@ -188,23 +151,7 @@ inline LintSummary summarize(const std::vector<Finding>& findings,
 }
 
 // ---------------------------------------------------------------------------
-// Audited suppressions, shared across tools.
-
-// One suppression-comment family. Every tool's family is parsed by every
-// tool (for the bad-suppression audit); only the primary tool's tags
-// actually suppress findings.
-struct SuppressionTool {
-  const char* prefix;               // "pdslint" / "pdsflow"
-  std::span<const RuleSpec> rules;  // rule ids this tool's tags may name
-};
-
-inline const std::span<const SuppressionTool> suppression_tools() {
-  static constexpr SuppressionTool kTools[] = {
-      {"pdslint", kRules},
-      {"pdsflow", kFlowRules},
-  };
-  return kTools;
-}
+// Audited suppressions.
 
 // Parsed suppression state for one file.
 struct Suppressions {
@@ -217,8 +164,7 @@ struct Suppressions {
 namespace common_detail {
 
 inline void parse_allow_list(const std::string& args, const std::string& file,
-                             int line, const SuppressionTool& tool,
-                             std::set<std::string>* out,
+                             int line, std::set<std::string>& out,
                              std::vector<Finding>& bad) {
   std::size_t pos = 0;
   while (pos <= args.size()) {
@@ -230,14 +176,12 @@ inline void parse_allow_list(const std::string& args, const std::string& file,
     const auto e = name.find_last_not_of(" \t");
     name = (b == std::string::npos) ? "" : name.substr(b, e - b + 1);
     if (!name.empty()) {
-      if (find_rule_in(tool.rules, name) == nullptr ||
-          name == "bad-suppression") {
+      if (find_rule(name) == nullptr || name == "bad-suppression") {
         bad.push_back({"bad-suppression", Severity::kError, file, line,
-                       "unknown rule '" + name + "' in " +
-                           std::string(tool.prefix) + " suppression",
-                       false, std::string(), false});
-      } else if (out != nullptr) {
-        out->insert(name);
+                       "unknown rule '" + name + "' in pdslint suppression",
+                       false});
+      } else {
+        out.insert(name);
       }
     }
     if (comma == args.size()) break;
@@ -247,36 +191,24 @@ inline void parse_allow_list(const std::string& args, const std::string& file,
 
 }  // namespace common_detail
 
-// Parses every tool's allow comments from `lexed`. Tags of `primary_prefix`
-// populate by_line/file_wide; tags of every tool are audited for unknown
-// rule names (the bad-suppression findings land in `bad` either way, so
-// whichever linter scans the file reports the typo).
+// Parses the line and file-wide allow tags in the comments of `lexed`.
+// Unknown rule names land in `bad` as bad-suppression findings.
 inline Suppressions collect_suppressions(const LexedFile& lexed,
-                                         const std::string& file,
-                                         std::string_view primary_prefix) {
+                                         const std::string& file) {
   Suppressions sup;
   for (const Comment& c : lexed.comments) {
-    for (const SuppressionTool& tool : suppression_tools()) {
-      const bool primary = primary_prefix == tool.prefix;
-      const std::string allow_file =
-          std::string(tool.prefix) + ":allow-file(";
-      const std::string allow_line = std::string(tool.prefix) + ":allow(";
-      for (const std::string& marker : {allow_file, allow_line}) {
-        std::size_t at = 0;
-        while ((at = c.text.find(marker, at)) != std::string::npos) {
-          const std::size_t open = at + marker.size();
-          const std::size_t close = c.text.find(')', open);
-          if (close == std::string::npos) break;
-          const std::string args = c.text.substr(open, close - open);
-          const bool file_wide = marker == allow_file;
-          std::set<std::string>* out = nullptr;
-          if (primary) {
-            out = file_wide ? &sup.file_wide : &sup.by_line[c.end_line];
-          }
-          common_detail::parse_allow_list(args, file, c.line, tool, out,
-                                          sup.bad);
-          at = close;
-        }
+    for (const bool file_wide : {true, false}) {
+      const std::string marker =
+          file_wide ? "pdslint:allow-file(" : "pdslint:allow(";
+      std::size_t at = 0;
+      while ((at = c.text.find(marker, at)) != std::string::npos) {
+        const std::size_t open = at + marker.size();
+        const std::size_t close = c.text.find(')', open);
+        if (close == std::string::npos) break;
+        common_detail::parse_allow_list(
+            c.text.substr(open, close - open), file, c.line,
+            file_wide ? sup.file_wide : sup.by_line[c.end_line], sup.bad);
+        at = close;
       }
     }
   }
@@ -293,22 +225,42 @@ inline bool suppressed_at(const Suppressions& sup, const std::string& rule,
   return false;
 }
 
-// ---------------------------------------------------------------------------
-// Deterministic JSON report, shared shape across schemas.
+// Appends a finding of `rule` (a kRules id) at `line`, marked suppressed when
+// an allow tag covers it.
+inline void add_finding(std::vector<Finding>& out, const Suppressions& sup,
+                        const std::string& file, const char* rule, int line,
+                        std::string message) {
+  Finding f;
+  f.rule = rule;
+  f.severity = find_rule(rule)->severity;
+  f.file = file;
+  f.line = line;
+  f.message = std::move(message);
+  f.suppressed = suppressed_at(sup, f.rule, line);
+  out.push_back(std::move(f));
+}
 
-// Machine-readable findings report rendered with the same JsonWriter the
-// bench telemetry uses, so output is byte-deterministic. `fingerprint` and
-// `baselined` are emitted only when set (pdsflow), keeping pdslint's
-// pds-lint-report/1 output unchanged.
-inline std::string render_findings_json(const char* schema,
-                                        std::span<const RuleSpec> rules,
-                                        const std::vector<Finding>& findings,
-                                        const LintSummary& summary) {
+// One input file, lexed once and shared by every rule. `path` is the
+// repo-relative display path and decides which rules apply.
+struct ScannedFile {
+  std::string path;
+  LexedFile lexed;
+  Suppressions sup;
+};
+
+// ---------------------------------------------------------------------------
+// Deterministic JSON report.
+
+// Machine-readable findings report (schema pds-lint-report/1) rendered with
+// the same JsonWriter the bench telemetry uses, so output is
+// byte-deterministic.
+inline std::string render_json(const std::vector<Finding>& findings,
+                               const LintSummary& summary) {
   obs::JsonWriter w;
   w.begin_object();
-  w.key("schema").value(schema);
+  w.key("schema").value(kLintReportSchema);
   w.key("rules").begin_array();
-  for (const RuleSpec& r : rules) {
+  for (const RuleSpec& r : kRules) {
     w.begin_object();
     w.key("id").value(r.id);
     w.key("severity").value(severity_name(r.severity));
@@ -325,8 +277,6 @@ inline std::string render_findings_json(const char* schema,
     w.key("line").value(static_cast<std::int64_t>(f.line));
     w.key("message").value(f.message);
     w.key("suppressed").value(f.suppressed);
-    if (!f.fingerprint.empty()) w.key("fingerprint").value(f.fingerprint);
-    if (f.baselined) w.key("baselined").value(true);
     w.end_object();
   }
   w.end_array();
@@ -342,7 +292,7 @@ inline std::string render_findings_json(const char* schema,
 }
 
 // ---------------------------------------------------------------------------
-// CLI file-gathering helpers (shared by the pdslint/pdsflow drivers).
+// CLI file-gathering helpers.
 
 namespace cli {
 

@@ -1,7 +1,9 @@
-// pdslint rule engine (DESIGN.md §12).
+// pdslint rule engine (DESIGN.md §12, §17).
 //
-// A table-driven, token-level static-analysis pass over src/, bench/ and
-// tools/ that guards the repo's determinism and protocol invariants:
+// The token-level rules, which guard the repo's determinism and protocol
+// invariants, plus analyze(): the one entry point, which lexes each file
+// once and runs these rules together with the flow rules of
+// tools/flow_analysis.h.
 //
 //   wall-clock      — no ambient time sources; the simulator owns time
 //                     (SimClock), and bench reports must be byte-identical
@@ -42,17 +44,12 @@
 #include <string_view>
 #include <vector>
 
+#include "tools/flow_analysis.h"
 #include "tools/lint_common.h"
 #include "tools/lint_lexer.h"
 #include "tools/telemetry_schema.h"
 
 namespace pds::lint {
-
-// Rule table, finding/summary types, audited suppressions and JSON
-// rendering live in tools/lint_common.h, shared with pdsflow. This header
-// owns only what is pdslint-specific: the token-level ban tables and the
-// check routines. Adding a rule = adding a row to kRules in lint_common.h
-// plus a check routine below.
 
 // Identifier-level bans. `call_only` rows fire only when the identifier is
 // followed by `(` — `time` and `clock` are too common as substrings of
@@ -111,15 +108,9 @@ inline constexpr FileAllowEntry kFileAllowlist[] = {
     // The one sanctioned probe: PDS_BENCH_JOBS's default. Worker counts
     // parallelise identical per-seed work; merge order stays fixed.
     {"ambient-parallelism", "bench/parallel_runs.h"},
-    // Exercises the tracer with synthetic (sub, ev) names on purpose; the
-    // catalog only covers events real captures can contain.
-    {"trace-schema", "tests/obs_test.cc"},
     // The profiler's whole job is reading host time; its readings are
     // observability output and never feed simulation state (DESIGN.md §15).
     {"wall-clock", "src/obs/profiler.cc"},
-    // Unit tests drive TimeSeries/Profiler with synthetic names on purpose.
-    {"stats-schema", "tests/obs_test.cc"},
-    {"stats-schema", "tests/timeseries_test.cc"},
 };
 
 // unordered-iter fires only in determinism-sensitive files: ones that emit
@@ -242,20 +233,6 @@ inline bool is_determinism_sensitive(const LexedFile& lexed) {
 }
 
 namespace rules_detail {
-
-inline void add_finding(std::vector<Finding>& out, const Suppressions& sup,
-                        const std::string& file, const char* rule, int line,
-                        std::string message) {
-  const RuleSpec* spec = find_rule(rule);
-  Finding f;
-  f.rule = rule;
-  f.severity = spec != nullptr ? spec->severity : Severity::kError;
-  f.file = file;
-  f.line = line;
-  f.message = std::move(message);
-  f.suppressed = suppressed_at(sup, f.rule, line);
-  out.push_back(std::move(f));
-}
 
 // wall-clock + ambient-rng: banned identifier scan.
 inline void check_banned_tokens(const LexedFile& lexed,
@@ -536,7 +513,6 @@ inline void check_trace_schema(const LexedFile& lexed,
                                const std::string& file,
                                const Suppressions& sup,
                                std::vector<Finding>& out) {
-  if (file_allowlisted("trace-schema", file)) return;
   const auto& toks = lexed.tokens;
   for (std::size_t i = 0; i < toks.size(); ++i) {
     if (toks[i].kind != TokKind::kIdent) continue;
@@ -579,7 +555,6 @@ inline void check_trace_schema(const LexedFile& lexed,
 inline void check_stats_schema(const LexedFile& lexed, const std::string& file,
                                const Suppressions& sup,
                                std::vector<Finding>& out) {
-  if (file_allowlisted("stats-schema", file)) return;
   const auto& toks = lexed.tokens;
   for (std::size_t i = 0; i < toks.size(); ++i) {
     if (toks[i].kind != TokKind::kIdent) continue;
@@ -663,43 +638,74 @@ inline void check_decode_assert(const LexedFile& lexed,
 
 }  // namespace rules_detail
 
-// Lints one file's contents. `path` is the repo-relative display path;
-// `header_names` carries unordered-container names collected from the paired
-// header when linting a .cc file.
-inline std::vector<Finding> lint_source(
-    const std::string& path, std::string_view content,
-    const std::vector<std::string>& header_names = {}) {
+// Runs the token rules over one file. `header_names` carries
+// unordered-container names collected from the paired header when linting a
+// .cc file.
+inline void check_tokens(const ScannedFile& file,
+                         const std::vector<std::string>& header_names,
+                         std::vector<Finding>& out) {
   using namespace rules_detail;
-  const LexedFile lexed = lex(content);
-  // "pdslint" is the primary prefix: pdsflow:allow tags are audited for
-  // typos here too, but only pdslint:allow tags suppress these findings.
-  const Suppressions sup = collect_suppressions(lexed, path, "pdslint");
-
-  std::vector<Finding> findings = sup.bad;
-  check_banned_tokens(lexed, path, sup, findings);
+  const LexedFile& lexed = file.lexed;
+  const std::string& path = file.path;
+  const Suppressions& sup = file.sup;
+  check_banned_tokens(lexed, path, sup, out);
 
   std::vector<std::string> names = collect_unordered_names(lexed);
   names.insert(names.end(), header_names.begin(), header_names.end());
   std::sort(names.begin(), names.end());
   names.erase(std::unique(names.begin(), names.end()), names.end());
-  check_unordered_iteration(lexed, path, names, sup, findings);
+  check_unordered_iteration(lexed, path, names, sup, out);
 
-  check_pointer_ordering(lexed, path, sup, findings);
-  check_uninit_fields(lexed, path, sup, findings);
-  check_decode_assert(lexed, path, sup, findings);
-  check_trace_schema(lexed, path, sup, findings);
-  check_stats_schema(lexed, path, sup, findings);
-
-  sort_findings(findings);
-  return findings;
+  check_pointer_ordering(lexed, path, sup, out);
+  check_uninit_fields(lexed, path, sup, out);
+  check_decode_assert(lexed, path, sup, out);
+  check_trace_schema(lexed, path, sup, out);
+  check_stats_schema(lexed, path, sup, out);
 }
 
-// Machine-readable findings report (schema pds-lint-report/1), rendered via
-// the shared writer in lint_common.h so pdslint and pdsflow reports stay
-// shape-compatible.
-inline std::string render_json(const std::vector<Finding>& findings,
-                               const LintSummary& summary) {
-  return render_findings_json(kLintReportSchema, kRules, findings, summary);
+// One input to analyze().
+struct SourceFile {
+  std::string path;  // repo-relative display path; decides rule scopes
+  std::string content;
+  std::vector<std::string> header_names = {};  // see check_tokens()
+};
+
+struct LintResult {
+  std::vector<Finding> findings;
+  LintSummary summary;
+};
+
+// Token rules cover the shipped code and its benches and tools; tests and
+// examples construct violations on purpose.
+inline bool in_token_scope(std::string_view path) {
+  for (const std::string_view dir : {"src/", "bench/", "tools/"}) {
+    if (path.rfind(dir, 0) == 0) return true;
+  }
+  return false;
+}
+
+// Lexes each file once, audits its suppression tags, runs the token rules
+// (src/, bench/, tools/), layering (every file) and wire-taint and
+// decode-atomicity (src/), then sorts and summarizes the findings.
+inline LintResult analyze(const std::vector<SourceFile>& files) {
+  std::vector<ScannedFile> scanned;
+  scanned.reserve(files.size());
+  std::vector<Finding> findings;
+  for (const SourceFile& f : files) {
+    ScannedFile& file = scanned.emplace_back();
+    file.path = f.path;
+    file.lexed = lex(f.content);
+    file.sup = collect_suppressions(file.lexed, f.path);
+    findings.insert(findings.end(), file.sup.bad.begin(), file.sup.bad.end());
+    if (in_token_scope(f.path)) check_tokens(file, f.header_names, findings);
+  }
+  flow::check_flow(scanned, findings);
+
+  sort_findings(findings);
+  LintResult res;
+  res.summary = summarize(findings, static_cast<int>(files.size()));
+  res.findings = std::move(findings);
+  return res;
 }
 
 }  // namespace pds::lint

@@ -1,16 +1,16 @@
-// pdslint — project-invariant static analysis gate (DESIGN.md §12).
+// pdslint — project-invariant static analysis gate (DESIGN.md §12, §17).
 //
-// Scans src/, bench/ and tools/ (or explicit paths) for violations of the
-// determinism and protocol invariants encoded in tools/lint_rules.h, prints
-// compiler-style diagnostics, and optionally writes a machine-readable JSON
-// report (schema pds-lint-report/1) for CI artifacts.
+// Scans src/, bench/, tools/, tests/ and examples/ (or explicit paths) with
+// the token rules of tools/lint_rules.h and the flow rules of
+// tools/flow_analysis.h, prints compiler-style diagnostics, and optionally
+// writes a machine-readable JSON report (schema pds-lint-report/1) that
+// `pdsreport validate` checks.
 //
 // Exit codes: 0 clean, 1 unsuppressed findings, 2 usage/IO error.
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -25,11 +25,13 @@ namespace {
 constexpr const char* kUsage =
     "usage: pdslint [--root=DIR] [--json=PATH] [--list-rules] [PATH...]\n"
     "\n"
-    "Lints C++ sources for determinism/invariant violations. With no PATH\n"
-    "arguments, scans src/, bench/ and tools/ under --root (default: the\n"
-    "current directory). Suppress a finding with // pdslint:allow(<rule>)\n"
-    "on the offending or preceding line, or file-wide with\n"
-    "// pdslint:allow-file(<rule>).\n";
+    "Lints C++ sources for determinism, wire-safety and layering violations.\n"
+    "With no PATH arguments, scans src/, bench/, tools/, tests/ and examples/\n"
+    "under --root (default: the current directory). Token rules apply to\n"
+    "src/, bench/ and tools/; wire-taint and decode-atomicity to src/;\n"
+    "layering and the suppression audit to every file. Suppress a finding\n"
+    "with // pdslint:allow(<rule>) on the offending or preceding line, or\n"
+    "file-wide with // pdslint:allow-file(<rule>).\n";
 
 // Collects unordered-container names from the paired header of a .cc file,
 // so member iteration in the implementation file is attributed.
@@ -60,7 +62,7 @@ int main(int argc, char** argv) {
       json_path = arg.substr(7);
     } else if (arg == "--list-rules") {
       for (const pds::lint::RuleSpec& r : pds::lint::kRules) {
-        std::printf("%-16s %-8s %s\n", r.id,
+        std::printf("%-19s %-8s %s\n", r.id,
                     pds::lint::severity_name(r.severity), r.invariant);
       }
       return 0;
@@ -77,12 +79,12 @@ int main(int argc, char** argv) {
   }
 
   if (inputs.empty()) {
-    for (const char* dir : {"src", "bench", "tools"}) {
+    for (const char* dir : {"src", "bench", "tools", "tests", "examples"}) {
       const fs::path p = root / dir;
       if (fs::exists(p)) inputs.push_back(p);
     }
     if (inputs.empty()) {
-      std::fprintf(stderr, "pdslint: no src/, bench/ or tools/ under %s\n",
+      std::fprintf(stderr, "pdslint: nothing to scan under %s\n",
                    root.string().c_str());
       return 2;
     }
@@ -95,8 +97,8 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::vector<pds::lint::Finding> findings;
-  int scanned = 0;
+  std::vector<pds::lint::SourceFile> sources;
+  sources.reserve(files.size());
   for (const fs::path& file : files) {
     std::string content;
     if (!read_file(file, content)) {
@@ -104,21 +106,17 @@ int main(int argc, char** argv) {
                    file.string().c_str());
       return 2;
     }
-    ++scanned;
     std::vector<std::string> header_names;
     if (file.extension() != ".h" && file.extension() != ".hpp") {
       header_names = paired_header_names(file);
     }
-    const std::string shown = display_path(file, root);
-    std::vector<pds::lint::Finding> fs_ =
-        pds::lint::lint_source(shown, content, header_names);
-    findings.insert(findings.end(), fs_.begin(), fs_.end());
+    sources.push_back({display_path(file, root), std::move(content),
+                       std::move(header_names)});
   }
 
-  const pds::lint::LintSummary summary =
-      pds::lint::summarize(findings, scanned);
+  const pds::lint::LintResult res = pds::lint::analyze(sources);
 
-  for (const pds::lint::Finding& f : findings) {
+  for (const pds::lint::Finding& f : res.findings) {
     if (f.suppressed) continue;
     std::fprintf(stderr, "%s:%d: %s: [%s] %s\n", f.file.c_str(), f.line,
                  pds::lint::severity_name(f.severity), f.rule.c_str(),
@@ -127,8 +125,8 @@ int main(int argc, char** argv) {
   std::fprintf(stderr,
                "pdslint: %d file(s), %d error(s), %d warning(s), "
                "%d suppressed\n",
-               summary.files_scanned, summary.errors, summary.warnings,
-               summary.suppressed);
+               res.summary.files_scanned, res.summary.errors,
+               res.summary.warnings, res.summary.suppressed);
 
   if (!json_path.empty()) {
     std::ofstream out(json_path, std::ios::binary | std::ios::trunc);
@@ -136,8 +134,8 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "pdslint: cannot write %s\n", json_path.c_str());
       return 2;
     }
-    out << pds::lint::render_json(findings, summary) << "\n";
+    out << pds::lint::render_json(res.findings, res.summary) << "\n";
   }
 
-  return summary.unsuppressed() > 0 ? 1 : 0;
+  return res.summary.unsuppressed() > 0 ? 1 : 0;
 }

@@ -66,8 +66,8 @@ std::vector<std::string> collect_reports(const std::vector<std::string>& args,
   return files;
 }
 
-// `sidecar`, when non-null, is set to "causal", "stats" or "flow" for
-// pds-causal-report/1 / pds-stats-report/1 / pds-flow-report/1 documents
+// `sidecar`, when non-null, is set to "causal", "stats" or "lint" for
+// pds-causal-report/1 / pds-stats-report/1 / pds-lint-report/1 documents
 // (which validate against their own schema and produce no ParsedReport).
 std::optional<ParsedReport> load_report(const std::string& path,
                                         std::vector<std::string>& errors,
@@ -97,9 +97,9 @@ std::optional<ParsedReport> load_report(const std::string& path,
       validate_stats_report(*root, errors);
       return std::nullopt;
     }
-    if (schema->text == kFlowReportSchema) {
-      if (sidecar != nullptr) *sidecar = "flow";
-      validate_flow_report(*root, errors);
+    if (schema->text == kLintReportSchema) {
+      if (sidecar != nullptr) *sidecar = "lint";
+      validate_lint_report(*root, errors);
       return std::nullopt;
     }
   }

@@ -27,7 +27,7 @@ namespace pds::tools {
 inline constexpr const char* kBenchReportSchema = "pds-bench-report/1";
 inline constexpr const char* kCausalReportSchema = "pds-causal-report/1";
 inline constexpr const char* kStatsReportSchema = "pds-stats-report/1";
-inline constexpr const char* kFlowReportSchema = "pds-flow-report/1";
+inline constexpr const char* kLintReportSchema = "pds-lint-report/1";
 
 // Peak-RSS ceiling for the 50k-node scale run (ROADMAP's 0.8 GB target plus
 // allocator/measurement headroom), enforced by the `rss-peak-50k-budget`
@@ -487,12 +487,11 @@ inline void validate_stats_report(const JsonValue& root,
   }
 }
 
-// Schema check for pds-flow-report/1 documents (pdsflow --json findings,
-// tools/flow_analysis.h). Valid iff `errors` stays empty: rule table,
-// per-finding fields (fingerprint required on unsuppressed findings so the
-// baseline workflow can always key them), and a summary whose counts match
-// the findings actually listed.
-inline void validate_flow_report(const JsonValue& root,
+// Schema check for pds-lint-report/1 documents (pdslint --json findings,
+// tools/lint_common.h). Valid iff `errors` stays empty: rule table,
+// per-finding fields, and a summary whose counts match the findings actually
+// listed.
+inline void validate_lint_report(const JsonValue& root,
                                  std::vector<std::string>& errors) {
   using check_detail::require_string;
   if (!root.is_object()) {
@@ -501,9 +500,9 @@ inline void validate_flow_report(const JsonValue& root,
   }
   std::string schema;
   require_string(root, "schema", schema, "root", errors);
-  if (!schema.empty() && schema != kFlowReportSchema) {
+  if (!schema.empty() && schema != kLintReportSchema) {
     errors.push_back("unsupported schema \"" + schema + "\" (want " +
-                     kFlowReportSchema + ")");
+                     kLintReportSchema + ")");
   }
 
   std::string text;
@@ -542,8 +541,7 @@ inline void validate_flow_report(const JsonValue& root,
         errors.push_back(where + ": not an object");
         continue;
       }
-      std::string rule;
-      require_string(f, "rule", rule, where.c_str(), errors);
+      require_string(f, "rule", text, where.c_str(), errors);
       require_string(f, "file", text, where.c_str(), errors);
       require_string(f, "message", text, where.c_str(), errors);
       const JsonValue* line = f.find("line");
@@ -559,14 +557,6 @@ inline void validate_flow_report(const JsonValue& root,
       if (suppressed == nullptr ||
           suppressed->type != JsonValue::Type::kBool) {
         errors.push_back(where + ": missing bool \"suppressed\"");
-      }
-      // bad-suppression findings carry no fingerprint; every flow-rule
-      // finding must, or the baseline cannot key it.
-      const JsonValue* fingerprint = f.find("fingerprint");
-      if ((fingerprint == nullptr || !fingerprint->is_string() ||
-           fingerprint->text.empty()) &&
-          rule != "bad-suppression") {
-        errors.push_back(where + ": missing string \"fingerprint\"");
       }
       if (is_suppressed) {
         ++suppressed_seen;
