@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <cstring>
-#include <limits>
 
 namespace pds {
 
@@ -31,22 +30,14 @@ void ByteWriter::put_varint(std::uint64_t v) {
   buf_.push_back(static_cast<std::byte>(v));
 }
 
-void ByteWriter::put_varint_i64(std::int64_t v) {
-  const auto u = static_cast<std::uint64_t>(v);
-  put_varint((u << 1) ^ static_cast<std::uint64_t>(v >> 63));
-}
-
 void ByteWriter::put_string(std::string_view s) {
-  if (s.size() > std::numeric_limits<std::uint16_t>::max()) {
-    throw DecodeError("string too long to encode");
-  }
-  put_u16(static_cast<std::uint16_t>(s.size()));
+  put_u16(string_length(s));
   for (char c : s) buf_.push_back(static_cast<std::byte>(c));
 }
 
-void ByteWriter::put_bytes(std::span<const std::byte> bytes) {
-  put_u32(static_cast<std::uint32_t>(bytes.size()));
-  buf_.insert(buf_.end(), bytes.begin(), bytes.end());
+void ByteWriter::put_u64s(std::span<const std::uint64_t> vs) {
+  buf_.reserve(buf_.size() + 8 * vs.size());
+  for (std::uint64_t v : vs) append_le(buf_, v);
 }
 
 std::uint8_t ByteReader::get_u8() {
@@ -120,16 +111,6 @@ std::string ByteReader::get_string() {
   std::memcpy(s.data(), data_.data() + pos_, n);
   pos_ += n;
   return s;
-}
-
-std::vector<std::byte> ByteReader::get_bytes() {
-  const std::uint32_t n = get_u32();
-  require(n);
-  std::vector<std::byte> out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-                             data_.begin() +
-                                 static_cast<std::ptrdiff_t>(pos_ + n));
-  pos_ += n;
-  return out;
 }
 
 }  // namespace pds

@@ -37,7 +37,8 @@ enum class ValueTag : std::uint8_t { kInt = 0, kDouble = 1, kString = 2 };
 // Canonical encoding (type tag + value, little endian); identical values
 // encode identically, which descriptor hashing depends on. Written once for
 // any sink with ByteWriter's put_* interface: ByteWriter builds the bytes,
-// and descriptor identity streams them through a hash (core/descriptor.cc).
+// ByteCounter sizes them, and descriptor identity streams them through a
+// hash (core/descriptor.cc).
 template <typename Sink>
 void write_value(Sink& w, const AttrValue& v) {
   if (const auto* i = std::get_if<std::int64_t>(&v)) {

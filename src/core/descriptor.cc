@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <limits>
 #include <memory>
 
 #include "common/assert.h"
@@ -27,12 +26,7 @@ class Fnv1aWriter {
   void put_i64(std::int64_t v) { put_le(static_cast<std::uint64_t>(v)); }
   void put_f64(double v) { put_le(std::bit_cast<std::uint64_t>(v)); }
   void put_string(std::string_view s) {
-    // ByteWriter::put_string's limit and error: identity fails exactly
-    // where encoding does.
-    if (s.size() > std::numeric_limits<std::uint16_t>::max()) {
-      throw DecodeError("string too long to encode");
-    }
-    put_u16(static_cast<std::uint16_t>(s.size()));
+    put_u16(string_length(s));
     for (char c : s) put_u8(static_cast<std::uint8_t>(c));
   }
 

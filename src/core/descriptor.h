@@ -91,6 +91,8 @@ class DataDescriptor {
   [[nodiscard]] std::uint64_t entry_key() const;
 
   void encode(ByteWriter& w) const;
+  // Counts the canonical encoding: its memoized size.
+  void encode(ByteCounter& c) const { c.add(encoded_size()); }
   [[nodiscard]] static DataDescriptor decode(ByteReader& r);
   [[nodiscard]] std::vector<std::byte> canonical_bytes() const;
 

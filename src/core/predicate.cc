@@ -56,15 +56,19 @@ bool Filter::matches(const DataDescriptor& d) const {
   return true;
 }
 
-void Filter::encode(ByteWriter& w) const {
+template <typename Sink>
+void Filter::encode(Sink& w) const {
   w.put_u16(static_cast<std::uint16_t>(preds_.size()));
   for (const Predicate& p : preds_) {
     w.put_string(p.attr);
     w.put_u8(static_cast<std::uint8_t>(p.rel));
-    encode_value(w, p.value);
-    if (p.rel == Relation::kInRange) encode_value(w, p.value_hi);
+    write_value(w, p.value);
+    if (p.rel == Relation::kInRange) write_value(w, p.value_hi);
   }
 }
+
+template void Filter::encode(ByteWriter&) const;
+template void Filter::encode(ByteCounter&) const;
 
 Filter Filter::decode(ByteReader& r) {
   Filter f;
@@ -92,9 +96,9 @@ Filter Filter::decode(ByteReader& r) {
 }
 
 std::size_t Filter::encoded_size() const {
-  ByteWriter w;
-  encode(w);
-  return w.size();
+  ByteCounter c;
+  encode(c);
+  return c.size();
 }
 
 }  // namespace pds::core

@@ -51,7 +51,10 @@ class Filter {
     return preds_;
   }
 
-  void encode(ByteWriter& w) const;
+  // The filter's one layout, run into a ByteWriter or, for encoded_size,
+  // a ByteCounter.
+  template <typename Sink>
+  void encode(Sink& w) const;
   [[nodiscard]] static Filter decode(ByteReader& r);
   [[nodiscard]] std::size_t encoded_size() const;
 

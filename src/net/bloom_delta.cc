@@ -26,7 +26,8 @@ std::uint64_t bloom_check(const util::BloomFilter& f) {
   return h;
 }
 
-void BloomDeltaFrame::encode(ByteWriter& w) const {
+template <typename Sink>
+void BloomDeltaFrame::encode(Sink& w) const {
   w.put_u64(session);
   w.put_varint(epoch);
   w.put_varint(seq);
@@ -49,6 +50,9 @@ void BloomDeltaFrame::encode(ByteWriter& w) const {
     prev = blocks[i].index;
   }
 }
+
+template void BloomDeltaFrame::encode(ByteWriter&) const;
+template void BloomDeltaFrame::encode(ByteCounter&) const;
 
 BloomDeltaFrame BloomDeltaFrame::decode(ByteReader& r) {
   BloomDeltaFrame f;
@@ -101,16 +105,9 @@ BloomDeltaFrame BloomDeltaFrame::decode(ByteReader& r) {
 }
 
 std::size_t BloomDeltaFrame::wire_size() const {
-  std::size_t size = 8 + varint_size(epoch) + varint_size(seq) + 1;
-  size += full ? (varint_size(bit_count) + 1 + 8) : 8;
-  size += 8;  // self_check
-  size += varint_size(blocks.size());
-  std::uint32_t prev = 0;
-  for (std::size_t i = 0; i < blocks.size(); ++i) {
-    size += varint_size(i == 0 ? blocks[i].index : blocks[i].index - prev) + 8;
-    prev = blocks[i].index;
-  }
-  return size;
+  ByteCounter c;
+  encode(c);
+  return c.size();
 }
 
 BloomDeltaFrame DeltaBloomSender::next_frame(std::uint64_t session,

@@ -80,7 +80,10 @@ struct BloomDeltaFrame {
   // words — which is what makes a snapshot of a sparse filter cheap).
   std::vector<Block> blocks;
 
-  void encode(ByteWriter& w) const;
+  // The frame's one layout, run into a ByteWriter or, for wire_size, a
+  // ByteCounter.
+  template <typename Sink>
+  void encode(Sink& w) const;
   // Throws DecodeError on any malformed input: unordered or zero blocks,
   // out-of-range parameters, truncation.
   static BloomDeltaFrame decode(ByteReader& r);

@@ -5,6 +5,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -16,9 +17,6 @@ namespace pds::net {
 
 namespace {
 
-// type + kind + sender(4) + query/response id(8) + expire(8) + ttl(1).
-constexpr std::size_t kCommonHeaderBytes = 1 + 1 + 4 + 8 + 8 + 1;
-
 // Decode-side caps for the reconciliation extensions: large enough for any
 // protocol-generated frame, small enough that hostile headers cannot force
 // huge allocations.
@@ -28,10 +26,6 @@ constexpr std::uint64_t kMaxCompressedEntries = 65535;
 constexpr std::uint64_t kMaxBitmapSpan = 1u << 22;
 constexpr std::uint64_t kMaxBitmapGroups = 65535;
 constexpr std::uint64_t kMaxStringBytes = 65535;
-
-std::size_t receiver_list_bytes(const Message& m) {
-  return 1 + 4 * m.receivers.size();
-}
 
 // Whether this message carries the trace-context wire extension under `cfg`
 // — only query/response frames (acks and repairs are hop-local control and
@@ -104,29 +98,74 @@ std::uint8_t ext_bits(const WireConfig& cfg, const Message& m) {
   return bits;
 }
 
+// -- The two sizing rules ----------------------------------------------------
+//
+// Every frame has one writer, write_frame below, run into a ByteWriter for
+// its bytes (encode) or into a ByteCounter for its charge (wire_size). The
+// charge differs from the bytes by the two rules of the paper's overhead
+// model (§VI-A), and only here:
+//
+//  1. Each metadata entry is charged the flat cfg.metadata_entry_bytes when
+//     that is set (30 by default). The entry section is then sized in the
+//     classic layout even where compress_entries emits the compressed one;
+//     the extension byte still counts. At 0, an entry is charged its real
+//     encoding.
+//  2. A payload (a chunk or an item) is charged its size_bytes where the
+//     bytes carry its 8-byte content hash: payload content is synthetic in
+//     simulation.
+
+bool flat_entries(const ByteWriter&, const WireConfig&) { return false; }
+bool flat_entries(const ByteCounter&, const WireConfig& cfg) {
+  return cfg.metadata_entry_bytes > 0;
+}
+
+void put_entries(ByteWriter& w, const WireConfig&,
+                 std::span<const core::DataDescriptor> entries) {
+  for (const core::DataDescriptor& d : entries) d.encode(w);
+}
+void put_entries(ByteCounter& c, const WireConfig& cfg,
+                 std::span<const core::DataDescriptor> entries) {
+  if (flat_entries(c, cfg)) {
+    c.add(entries.size() * cfg.metadata_entry_bytes);
+  } else {
+    for (const core::DataDescriptor& d : entries) d.encode(c);
+  }
+}
+
+void put_payload(ByteWriter& w, std::uint32_t /*size_bytes*/,
+                 std::uint64_t content_hash) {
+  w.put_u64(content_hash);
+}
+void put_payload(ByteCounter& c, std::uint32_t size_bytes,
+                 std::uint64_t /*content_hash*/) {
+  c.add(size_bytes);
+}
+
 // -- Chunk bitmaps (kExtChunkBitmap) ----------------------------------------
 //
 // A run of strictly increasing chunk ids as base + span + bit array. The
 // encoding is canonical: base is the first id, the span's last bit is set,
 // and no bit lies past the span.
 
-void encode_chunk_bitmap(ByteWriter& w, std::span<const ChunkIndex> chunks) {
+template <typename Sink>
+void write_chunk_bitmap(Sink& w, std::span<const ChunkIndex> chunks) {
   const ChunkIndex base = chunks.front();
   const std::uint32_t span = chunks.back() - base + 1;
   w.put_varint(base);
   w.put_varint(span);
-  std::vector<std::uint8_t> bytes((span + 7) / 8, 0);
+  // The ids ascend, so the bitmap's (span + 7) / 8 bytes come out in
+  // order: a byte is written once the ids have moved past it.
+  std::uint32_t at = 0;
+  std::uint8_t byte = 0;
   for (ChunkIndex c : chunks) {
     const std::uint32_t bit = c - base;
-    bytes[bit / 8] |= static_cast<std::uint8_t>(1u << (bit % 8));
+    for (; at < bit / 8; ++at) {
+      w.put_u8(byte);
+      byte = 0;
+    }
+    byte |= static_cast<std::uint8_t>(1u << (bit % 8));
   }
-  for (std::uint8_t b : bytes) w.put_u8(b);
-}
-
-std::size_t chunk_bitmap_size(std::span<const ChunkIndex> chunks) {
-  const ChunkIndex base = chunks.front();
-  const std::uint32_t span = chunks.back() - base + 1;
-  return varint_size(base) + varint_size(span) + (span + 7) / 8;
+  w.put_u8(byte);
 }
 
 std::vector<ChunkIndex> decode_chunk_bitmap(ByteReader& r) {
@@ -159,24 +198,15 @@ std::vector<ChunkIndex> decode_chunk_bitmap(ByteReader& r) {
 
 // CDI entries as hop-count groups of chunk bitmaps, hop strictly increasing.
 
-void encode_cdi_bitmap(ByteWriter& w, const std::vector<CdiEntry>& cdi) {
+template <typename Sink>
+void write_cdi_bitmap(Sink& w, const std::vector<CdiEntry>& cdi) {
   std::map<std::uint32_t, std::vector<ChunkIndex>> groups;
   for (const CdiEntry& e : cdi) groups[e.hop_count].push_back(e.chunk);
   w.put_varint(groups.size());
   for (const auto& [hop, chunks] : groups) {
     w.put_varint(hop);
-    encode_chunk_bitmap(w, chunks);
+    write_chunk_bitmap(w, chunks);
   }
-}
-
-std::size_t cdi_bitmap_size(const std::vector<CdiEntry>& cdi) {
-  std::map<std::uint32_t, std::vector<ChunkIndex>> groups;
-  for (const CdiEntry& e : cdi) groups[e.hop_count].push_back(e.chunk);
-  std::size_t size = varint_size(groups.size());
-  for (const auto& [hop, chunks] : groups) {
-    size += varint_size(hop) + chunk_bitmap_size(chunks);
-  }
-  return size;
 }
 
 std::vector<CdiEntry> decode_cdi_bitmap(ByteReader& r) {
@@ -227,12 +257,14 @@ class EntryCompressor {
     prev_.resize(names_.size());
   }
 
-  void encode_dict(ByteWriter& w) const {
+  template <typename Sink>
+  void encode_dict(Sink& w) const {
     w.put_varint(names_.size());
     for (const std::string& n : names_) w.put_string(n);
   }
 
-  void encode_entry(ByteWriter& w, const core::DataDescriptor& d) {
+  template <typename Sink>
+  void encode_entry(Sink& w, const core::DataDescriptor& d) {
     const auto& attrs = d.attributes();
     w.put_varint(attrs.size());
     for (const core::Attribute& a : attrs) {
@@ -351,105 +383,51 @@ class EntryDecompressor {
   std::vector<std::string> prev_;
 };
 
-}  // namespace
-
-std::size_t Codec::entry_wire_size(const core::DataDescriptor& d) const {
-  if (cfg_.metadata_entry_bytes > 0) return cfg_.metadata_entry_bytes;
-  return d.encoded_size();
-}
-
-std::size_t Codec::wire_size(const Message& m) const {
-  if (m.is_ack()) {
-    // type + count(2) + tokens(8 each) + acker(4).
-    return 1 + 2 + 8 * m.ack_tokens.size() + 4;
-  }
-  if (m.is_repair()) {
-    // type + token(8) + requester(4) + count(2) + indices(4 each).
-    return 1 + 8 + 4 + 2 + 4 * m.requested_chunks.size();
-  }
-  const std::uint8_t ext = ext_bits(cfg_, m);
-  std::size_t size = kCommonHeaderBytes + receiver_list_bytes(m);
-  if (ext != 0) size += 1;  // extension bitmap byte
-  if (m.target.has_value()) size += m.target->encoded_size();
-  size += 1;  // target-present flag
-  if (m.is_query()) {
-    size += m.filter.encoded_size();
-    if ((ext & kExtDeltaBloom) != 0) {
-      size += m.exclude_delta->wire_size();
-    } else {
-      size += m.exclude.wire_size();
-    }
-    if ((ext & kExtChunkBitmap) != 0) {
-      size += chunk_bitmap_size(m.requested_chunks);
-    } else {
-      size += 2 + 4 * m.requested_chunks.size();
-    }
+// A response's CDI list and chunk payload, which sit between its metadata
+// and its items.
+template <typename Sink>
+void write_cdi_and_chunk(Sink& w, const Message& m, std::uint8_t ext) {
+  if ((ext & kExtChunkBitmap) != 0) {
+    write_cdi_bitmap(w, m.cdi);
   } else {
-    // The paper's flat per-entry charge (metadata_entry_bytes > 0) wins
-    // over entry compression: honest compression measurements set it to 0.
-    const bool compressed_sizing =
-        (ext & kExtCompressedEntries) != 0 && cfg_.metadata_entry_bytes == 0;
-    if (compressed_sizing) {
-      EntryCompressor enc(m);
-      ByteWriter scratch;
-      enc.encode_dict(scratch);
-      scratch.put_varint(m.metadata.size());
-      for (const core::DataDescriptor& d : m.metadata) {
-        enc.encode_entry(scratch, d);
-      }
-      scratch.put_varint(m.items.size());
-      for (const ItemPayload& item : m.items) {
-        enc.encode_entry(scratch, item.descriptor);
-        // Length field + simulated payload (the content hash stands in for
-        // the payload on the wire and is not charged, as in the classic
-        // item encoding).
-        size += varint_size(item.size_bytes) + item.size_bytes;
-      }
-      size += scratch.size();
-    } else {
-      size += 2;  // metadata count
-      for (const core::DataDescriptor& d : m.metadata) {
-        size += entry_wire_size(d);
-      }
-      size += 2;  // item count
-      for (const ItemPayload& item : m.items) {
-        size += entry_wire_size(item.descriptor) + 4 + item.size_bytes;
-      }
-    }
-    if ((ext & kExtChunkBitmap) != 0) {
-      size += cdi_bitmap_size(m.cdi);
-    } else {
-      size += 2 + 8 * m.cdi.size();
-    }
-    size += 1;  // chunk-present flag
-    if (m.chunk.has_value()) {
-      size += 4 + 4 + m.chunk->size_bytes;  // index + length + payload
+    w.put_u16(static_cast<std::uint16_t>(m.cdi.size()));
+    for (const CdiEntry& e : m.cdi) {
+      w.put_u32(e.chunk);
+      w.put_u32(e.hop_count);
     }
   }
-  if (carries_trace(cfg_, m)) size += kTraceContextBytes;
-  return size;
+  w.put_u8(m.chunk.has_value() ? 1 : 0);
+  if (m.chunk.has_value()) {
+    w.put_u32(m.chunk->index);
+    w.put_u32(m.chunk->size_bytes);
+    put_payload(w, m.chunk->size_bytes, m.chunk->content_hash);
+  }
 }
 
-std::vector<std::byte> Codec::encode(const Message& m) const {
-  ByteWriter w;
-  const bool with_trace = carries_trace(cfg_, m);
+// The frame's one layout. Acks and repairs are hop-local control frames:
+// no extension byte, no trace context. Under sizing rule 1 a compressed
+// response's entries are counted in the classic layout. wire_size runs on
+// every send, so the compressor is built only in its own branch.
+template <typename Sink>
+void write_frame(Sink& w, const WireConfig& cfg, const Message& m) {
+  const bool with_trace = carries_trace(cfg, m);
   const std::uint8_t ext =
-      (m.is_ack() || m.is_repair()) ? 0 : ext_bits(cfg_, m);
+      (m.is_ack() || m.is_repair()) ? 0 : ext_bits(cfg, m);
   w.put_u8(static_cast<std::uint8_t>(m.type) |
            (with_trace ? kTraceContextFlag : 0) |
            (ext != 0 ? kWireExtFlag : 0));
   if (m.is_ack()) {
     w.put_u16(static_cast<std::uint16_t>(m.ack_tokens.size()));
-    for (std::uint64_t token : m.ack_tokens) w.put_u64(token);
+    w.put_u64s(m.ack_tokens);
     w.put_u32(m.acker.value());
-    return w.take();
+    return;
   }
   if (m.is_repair()) {
     w.put_u64(m.ack_tokens.empty() ? 0 : m.ack_tokens.front());
     w.put_u32(m.acker.value());
     w.put_u16(static_cast<std::uint16_t>(m.requested_chunks.size()));
     for (ChunkIndex c : m.requested_chunks) w.put_u32(c);
-    return w.take();
+    return;
   }
   if (ext != 0) w.put_u8(ext);
   w.put_u8(static_cast<std::uint8_t>(m.kind));
@@ -466,58 +444,35 @@ std::vector<std::byte> Codec::encode(const Message& m) const {
     if ((ext & kExtDeltaBloom) != 0) {
       m.exclude_delta->encode(w);
     } else {
-      std::vector<std::byte> bloom_bytes;
-      m.exclude.encode(bloom_bytes);
-      w.put_bytes(bloom_bytes);
+      m.exclude.encode(w);
     }
     if ((ext & kExtChunkBitmap) != 0) {
-      encode_chunk_bitmap(w, m.requested_chunks);
+      write_chunk_bitmap(w, m.requested_chunks);
     } else {
       w.put_u16(static_cast<std::uint16_t>(m.requested_chunks.size()));
       for (ChunkIndex c : m.requested_chunks) w.put_u32(c);
     }
+  } else if ((ext & kExtCompressedEntries) != 0 && !flat_entries(w, cfg)) {
+    EntryCompressor enc(m);
+    enc.encode_dict(w);
+    w.put_varint(m.metadata.size());
+    for (const core::DataDescriptor& d : m.metadata) enc.encode_entry(w, d);
+    write_cdi_and_chunk(w, m, ext);
+    w.put_varint(m.items.size());
+    for (const ItemPayload& item : m.items) {
+      enc.encode_entry(w, item.descriptor);
+      w.put_varint(item.size_bytes);
+      put_payload(w, item.size_bytes, item.content_hash);
+    }
   } else {
-    std::optional<EntryCompressor> enc;
-    if ((ext & kExtCompressedEntries) != 0) {
-      enc.emplace(m);
-      enc->encode_dict(w);
-      w.put_varint(m.metadata.size());
-      for (const core::DataDescriptor& d : m.metadata) {
-        enc->encode_entry(w, d);
-      }
-    } else {
-      w.put_u16(static_cast<std::uint16_t>(m.metadata.size()));
-      for (const core::DataDescriptor& d : m.metadata) d.encode(w);
-    }
-    if ((ext & kExtChunkBitmap) != 0) {
-      encode_cdi_bitmap(w, m.cdi);
-    } else {
-      w.put_u16(static_cast<std::uint16_t>(m.cdi.size()));
-      for (const CdiEntry& e : m.cdi) {
-        w.put_u32(e.chunk);
-        w.put_u32(e.hop_count);
-      }
-    }
-    w.put_u8(m.chunk.has_value() ? 1 : 0);
-    if (m.chunk.has_value()) {
-      w.put_u32(m.chunk->index);
-      w.put_u32(m.chunk->size_bytes);
-      w.put_u64(m.chunk->content_hash);
-    }
-    if ((ext & kExtCompressedEntries) != 0) {
-      w.put_varint(m.items.size());
-      for (const ItemPayload& item : m.items) {
-        enc->encode_entry(w, item.descriptor);
-        w.put_varint(item.size_bytes);
-        w.put_u64(item.content_hash);
-      }
-    } else {
-      w.put_u16(static_cast<std::uint16_t>(m.items.size()));
-      for (const ItemPayload& item : m.items) {
-        item.descriptor.encode(w);
-        w.put_u32(item.size_bytes);
-        w.put_u64(item.content_hash);
-      }
+    w.put_u16(static_cast<std::uint16_t>(m.metadata.size()));
+    put_entries(w, cfg, m.metadata);
+    write_cdi_and_chunk(w, m, ext);
+    w.put_u16(static_cast<std::uint16_t>(m.items.size()));
+    for (const ItemPayload& item : m.items) {
+      put_entries(w, cfg, {&item.descriptor, 1});
+      w.put_u32(item.size_bytes);
+      put_payload(w, item.size_bytes, item.content_hash);
     }
   }
   if (with_trace) {
@@ -526,6 +481,19 @@ std::vector<std::byte> Codec::encode(const Message& m) const {
     w.put_u32(m.trace.origin);
     w.put_u8(m.trace.hop);
   }
+}
+
+}  // namespace
+
+std::size_t Codec::wire_size(const Message& m) const {
+  ByteCounter c;
+  write_frame(c, cfg_, m);
+  return c.size();
+}
+
+std::vector<std::byte> Codec::encode(const Message& m) const {
+  ByteWriter w;
+  write_frame(w, cfg_, m);
   return w.take();
 }
 
@@ -614,8 +582,7 @@ Message Codec::decode(std::span<const std::byte> bytes) const {
     if ((ext & kExtDeltaBloom) != 0) {
       m.exclude_delta = BloomDeltaFrame::decode(r);
     } else {
-      const std::vector<std::byte> bloom_bytes = r.get_bytes();
-      m.exclude = util::BloomFilter::decode(bloom_bytes);
+      m.exclude = util::BloomFilter::decode(r);
     }
     if ((ext & kExtChunkBitmap) != 0) {
       m.requested_chunks = decode_chunk_bitmap(r);

@@ -2,16 +2,21 @@
 //
 // The simulator charges every transmission its wire size, which makes the
 // paper's "message overhead" metric (total bytes of all messages) concrete.
-// Following the paper's parameterization (§VI-A), metadata entries are
-// charged a fixed 30 bytes each by default; set `metadata_entry_bytes = 0`
-// to charge the true canonical encoding instead. The flat charge wins over
-// `compress_entries` sizing — measuring what entry compression buys
-// requires `metadata_entry_bytes = 0` (bench/tab_wire does exactly that).
+// Each frame has one layout, written once as a writer over its sink:
+// `encode` runs it into a ByteWriter and `wire_size` into a ByteCounter.
+// The size differs from the bytes only by two sizing rules, stated once in
+// codec.cc:
 //
-// `encode`/`decode` provide a lossless round trip of the control structure
-// (payload *content* is synthetic in simulation, so a chunk's bytes are
-// represented by size + content hash, while `wire_size` charges the full
-// payload length).
+//  1. Following the paper's parameterization (§VI-A), metadata entries are
+//     charged a flat 30 bytes each by default, in the classic layout even
+//     under `compress_entries`; set `metadata_entry_bytes = 0` to charge the
+//     real encoding. Measuring what entry compression buys therefore
+//     requires `metadata_entry_bytes = 0` (bench/tab_wire does exactly
+//     that).
+//  2. Payload *content* is synthetic in simulation: a chunk or item is
+//     encoded as its size + content hash, and charged its full size.
+//
+// `encode`/`decode` provide a lossless round trip of the control structure.
 #pragma once
 
 #include <cstddef>
@@ -83,9 +88,6 @@ class Codec {
   [[nodiscard]] const WireConfig& config() const { return cfg_; }
 
  private:
-  [[nodiscard]] std::size_t entry_wire_size(
-      const core::DataDescriptor& d) const;
-
   WireConfig cfg_;
 };
 

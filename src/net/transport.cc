@@ -47,10 +47,7 @@ Transport::Transport(sim::Simulator& sim, Face& face, NodeId self,
       self_(self),
       cfg_(cfg),
       codec_(std::move(codec)),
-      bucket_(cfg.pacing_enabled
-                  ? util::LeakyBucket(cfg.bucket_capacity_bytes,
-                                      cfg.leak_rate_bps)
-                  : util::LeakyBucket()) {
+      bucket_(cfg.bucket_capacity_bytes, cfg.leak_rate_bps) {
   PDS_ENSURE(cfg.mtu_bytes > kFragmentHeaderBytes);
   face_.set_receiver([this](const sim::Frame& frame) { on_frame(frame); });
 }
@@ -469,9 +466,7 @@ void Transport::reset() {
   ack_batch_.clear();
   ack_flush_scheduled_ = false;
   completed_messages_.clear();
-  bucket_ = cfg_.pacing_enabled ? util::LeakyBucket(cfg_.bucket_capacity_bytes,
-                                                    cfg_.leak_rate_bps)
-                                : util::LeakyBucket();
+  bucket_ = util::LeakyBucket(cfg_.bucket_capacity_bytes, cfg_.leak_rate_bps);
 }
 
 }  // namespace pds::net

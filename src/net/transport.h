@@ -36,7 +36,6 @@ namespace pds::net {
 
 struct TransportConfig {
   // Leaky bucket (§V.2): best-performing parameters from the prototype.
-  bool pacing_enabled = true;
   std::size_t bucket_capacity_bytes = 300'000;
   double leak_rate_bps = 4.5e6;
 

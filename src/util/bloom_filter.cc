@@ -8,7 +8,6 @@
 #include <new>
 
 #include "common/assert.h"
-#include "common/bytes.h"
 #include "common/hash.h"
 
 namespace pds::util {
@@ -112,8 +111,9 @@ bool BloomFilter::maybe_contains(std::uint64_t key) const {
 }
 
 std::size_t BloomFilter::wire_size() const {
-  if (empty_filter()) return 1;  // presence byte only
-  return 1 + 4 + 1 + 8 + words().size() * 8;
+  ByteCounter c;
+  encode(c);
+  return c.size();
 }
 
 double BloomFilter::fill_ratio() const {
@@ -121,21 +121,20 @@ double BloomFilter::fill_ratio() const {
   return static_cast<double>(set_bits_) / static_cast<double>(bit_count());
 }
 
-void BloomFilter::encode(std::vector<std::byte>& out) const {
-  ByteWriter w;
+template <typename Sink>
+void BloomFilter::encode(Sink& w) const {
   w.put_u8(empty_filter() ? 0 : 1);
-  if (!empty_filter()) {
-    w.put_u32(static_cast<std::uint32_t>(bit_count()));
-    w.put_u8(static_cast<std::uint8_t>(hash_count_));
-    w.put_u64(seed_);
-    for (std::uint64_t word : words()) w.put_u64(word);
-  }
-  auto bytes = w.take();
-  out.insert(out.end(), bytes.begin(), bytes.end());
+  if (empty_filter()) return;
+  w.put_u32(static_cast<std::uint32_t>(bit_count()));
+  w.put_u8(static_cast<std::uint8_t>(hash_count_));
+  w.put_u64(seed_);
+  w.put_u64s(words());
 }
 
-BloomFilter BloomFilter::decode(std::span<const std::byte> in) {
-  ByteReader r(in);
+template void BloomFilter::encode(ByteWriter&) const;
+template void BloomFilter::encode(ByteCounter&) const;
+
+BloomFilter BloomFilter::decode(ByteReader& r) {
   const std::uint8_t present = r.get_u8();
   if (present == 0) return BloomFilter{};
   const std::uint32_t bits = r.get_u32();

@@ -19,7 +19,8 @@
 #include <new>
 #include <span>
 #include <utility>
-#include <vector>
+
+#include "common/bytes.h"
 
 namespace pds::util {
 
@@ -72,8 +73,8 @@ class BloomFilter {
   [[nodiscard]] std::uint64_t seed() const { return seed_; }
   [[nodiscard]] std::size_t inserted_count() const { return inserted_; }
 
-  // Wire size in bytes: bit array + 13-byte header (u32 bit count, u8 hash
-  // count, u64 seed). This is what the codec charges a query carrying it.
+  // Wire size in bytes: the encoding run into a ByteCounter. This is what
+  // the codec charges a query carrying it.
   [[nodiscard]] std::size_t wire_size() const;
 
   // Raw 64-bit block access for the delta-sync wire path (net/bloom_delta.h):
@@ -90,8 +91,15 @@ class BloomFilter {
   // O(1); the flight recorder samples it for every lingering query.
   [[nodiscard]] double fill_ratio() const;
 
-  void encode(std::vector<std::byte>& out) const;
-  static BloomFilter decode(std::span<const std::byte> in);
+  // The filter's one layout: a presence byte, then for a non-empty filter a
+  // u32 bit count, u8 hash count, u64 seed and the words. The header gives
+  // the word count, so the encoding delimits itself and a frame carries it
+  // with no length prefix. Runs into a ByteWriter or a ByteCounter.
+  template <typename Sink>
+  void encode(Sink& w) const;
+  // Reads one filter from `r`. A malformed header, or a body longer than
+  // the bytes left, throws DecodeError before anything is allocated.
+  static BloomFilter decode(ByteReader& r);
 
  private:
   // (h1, h2) of the double-hashing probe sequence for `key`.

@@ -7,8 +7,7 @@
 namespace pds::util {
 
 LeakyBucket::LeakyBucket(std::size_t capacity_bytes, double leak_rate_bps)
-    : enabled_(true),
-      capacity_(capacity_bytes),
+    : capacity_(capacity_bytes),
       leak_rate_bps_(leak_rate_bps),
       tokens_(static_cast<double>(capacity_bytes)) {
   PDS_ENSURE(capacity_bytes > 0);
@@ -16,8 +15,6 @@ LeakyBucket::LeakyBucket(std::size_t capacity_bytes, double leak_rate_bps)
 }
 
 SimTime LeakyBucket::offer(SimTime now, std::size_t bytes) {
-  if (!enabled_) return now;
-
   // FIFO: a message cannot be released before previously queued ones.
   SimTime t = std::max(now, last_release_);
 

@@ -11,10 +11,6 @@
 // it), while sustained traffic is shaped to LeakingRate. Messages that find
 // insufficient tokens wait (FIFO) rather than drop; `offer` returns the
 // virtual time at which the message may be handed to the OS.
-//
-// A default-constructed bucket is disabled (raw-UDP behaviour): messages pass
-// through immediately and overflow is left to the OS-buffer model in the
-// radio layer.
 #pragma once
 
 #include <cstddef>
@@ -25,9 +21,6 @@ namespace pds::util {
 
 class LeakyBucket {
  public:
-  // Disabled pacer: everything released immediately.
-  LeakyBucket() = default;
-
   // `capacity_bytes` — maximum token accumulation (burst size);
   // `leak_rate_bps` — token refill rate in bits per second.
   LeakyBucket(std::size_t capacity_bytes, double leak_rate_bps);
@@ -37,7 +30,6 @@ class LeakyBucket {
   // order is preserved across queued messages.
   [[nodiscard]] SimTime offer(SimTime now, std::size_t bytes);
 
-  [[nodiscard]] bool enabled() const { return enabled_; }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
   [[nodiscard]] double leak_rate_bps() const { return leak_rate_bps_; }
 
@@ -46,7 +38,6 @@ class LeakyBucket {
   [[nodiscard]] SimTime next_free() const { return last_release_; }
 
  private:
-  bool enabled_ = false;
   std::size_t capacity_ = 0;
   double leak_rate_bps_ = 1.0;
   double tokens_ = 0.0;

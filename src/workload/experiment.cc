@@ -354,19 +354,16 @@ SingleHopOutcome run_single_hop(const SingleHopParams& params) {
       // broadcast drain, so the OS buffer overflows and silently drops
       // (§V.2: 14% reception). We model the app-side offering rate as
       // ~50 Mb/s.
-      sender_cfg.pacing_enabled = true;
       sender_cfg.bucket_capacity_bytes = params.message_bytes;
       sender_cfg.leak_rate_bps = 51.4e6;
       sender_cfg.reliability_enabled = false;
       break;
     case TransportMode::kLeakyBucket:
-      sender_cfg.pacing_enabled = true;
       sender_cfg.bucket_capacity_bytes = params.bucket_capacity_bytes;
       sender_cfg.leak_rate_bps = params.leak_rate_bps;
       sender_cfg.reliability_enabled = false;
       break;
     case TransportMode::kLeakyBucketAck:
-      sender_cfg.pacing_enabled = true;
       sender_cfg.bucket_capacity_bytes = params.bucket_capacity_bytes;
       sender_cfg.leak_rate_bps = params.leak_rate_bps;
       sender_cfg.reliability_enabled = true;

@@ -1,7 +1,8 @@
 // Property tests for the wire codec: randomly generated messages of every
 // shape must round-trip losslessly (encode → decode → encode gives identical
-// bytes), and the decoder must reject truncations of valid messages without
-// crashing.
+// bytes), their length must equal wire_size up to the two sizing rules of
+// net/codec.cc, and the decoder must reject truncations of valid messages
+// without crashing.
 //
 // The v2 extension suites (DESIGN.md §16) add structure-aware coverage:
 // random wire configs mixing delta-Bloom, compressed-entry and chunk-bitmap
@@ -188,6 +189,18 @@ WireConfig random_wire_config(Rng& rng) {
   return cfg;
 }
 
+// The bytes are the charge: with the flat entry charge off and every
+// payload sized as the 8-byte content hash its bytes carry, wire_size is
+// the length of encode. Only the two sizing rules of net/codec.cc may set
+// them apart.
+void expect_bytes_equal_charge(WireConfig cfg, Message m, int trial) {
+  cfg.metadata_entry_bytes = 0;
+  if (m.chunk.has_value()) m.chunk->size_bytes = 8;
+  for (ItemPayload& item : m.items) item.size_bytes = 8;
+  const Codec codec(cfg);
+  EXPECT_EQ(codec.encode(m).size(), codec.wire_size(m)) << "trial " << trial;
+}
+
 class CodecFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(CodecFuzz, EncodeDecodeEncodeIsStable) {
@@ -202,6 +215,7 @@ TEST_P(CodecFuzz, EncodeDecodeEncodeIsStable) {
     // wire_size is consistent for the decoded twin (same content ⇒ same
     // charge).
     EXPECT_EQ(codec.wire_size(m), codec.wire_size(decoded));
+    expect_bytes_equal_charge(codec.config(), m, trial);
   }
 }
 
@@ -243,6 +257,7 @@ TEST_P(CodecFuzzV2, EncodeDecodeEncodeIsStable) {
     ASSERT_EQ(wire, wire2) << "trial " << trial;
     EXPECT_EQ(codec.wire_size(m), codec.wire_size(decoded)) << "trial "
                                                             << trial;
+    expect_bytes_equal_charge(codec.config(), m, trial);
   }
 }
 

@@ -181,6 +181,31 @@ TEST(Codec, MetadataEntriesChargedThirtyBytesByDefault) {
   EXPECT_EQ(codec.wire_size(r), empty + 10 * 30);
 }
 
+TEST(Codec, FlatChargeSizesCompressedEntriesInTheClassicLayout) {
+  // The flat per-entry charge wins over compress_entries: the entry
+  // section is sized in the classic layout (u16 counts, 30 B per entry,
+  // 4 + size_bytes per item), and the extension byte still counts.
+  Message r;
+  r.type = MessageType::kResponse;
+  r.kind = ContentKind::kMetadata;
+  r.sender = NodeId(1);
+  r.receivers = {NodeId(2)};
+  const std::size_t classic_empty = Codec().wire_size(r);
+  for (int i = 0; i < 3; ++i) {
+    core::DataDescriptor d;
+    d.set("seq", std::int64_t{i});
+    r.metadata.push_back(std::move(d));
+  }
+  ItemPayload item;
+  item.descriptor = item_descriptor();
+  item.size_bytes = 1000;
+  item.content_hash = 7;
+  r.items.push_back(item);
+  const Codec codec{WireConfig{.compress_entries = true}};
+  ASSERT_NE(std::to_integer<int>(codec.encode(r)[0]) & kWireExtFlag, 0);
+  EXPECT_EQ(codec.wire_size(r), 1 + classic_empty + 3 * 30 + (30 + 4 + 1000));
+}
+
 TEST(Codec, ActualEncodingChargedWhenOverrideDisabled) {
   Codec codec{WireConfig{.metadata_entry_bytes = 0}};
   Message r;

@@ -114,16 +114,36 @@ TEST(Bytes, StringRoundTrip) {
   EXPECT_EQ(r.get_string(), std::string(1000, 'x'));
 }
 
-TEST(Bytes, RawBytesRoundTrip) {
-  ByteWriter inner;
-  inner.put_u32(123);
+// The sizing sink counts exactly what the writer writes, and refuses the
+// same over-long string.
+TEST(Bytes, CounterCountsWhatWriterWrites) {
+  const auto write = [](auto& sink) {
+    sink.put_u8(1);
+    sink.put_u16(2);
+    sink.put_u32(3);
+    sink.put_u64(4);
+    sink.put_i64(-5);
+    sink.put_f64(6.5);
+    const std::uint64_t varints[] = {0, 127, 128, std::uint64_t{1} << 35,
+                                     ~std::uint64_t{0}};
+    for (std::uint64_t v : varints) sink.put_varint(v);
+    const std::int64_t zigzags[] = {0, -1, 63, -65,
+                                    std::numeric_limits<std::int64_t>::min()};
+    for (std::int64_t v : zigzags) sink.put_varint_i64(v);
+    sink.put_string("");
+    sink.put_string("hello");
+    const std::uint64_t words[] = {1, 2, 3};
+    sink.put_u64s(words);
+  };
   ByteWriter w;
-  w.put_bytes(inner.bytes());
-
-  ByteReader r(w.bytes());
-  const auto out = r.get_bytes();
-  ByteReader r2(out);
-  EXPECT_EQ(r2.get_u32(), 123u);
+  ByteCounter c;
+  write(w);
+  write(c);
+  EXPECT_EQ(c.size(), w.size());
+  const std::string too_long(70000, 'x');
+  EXPECT_THROW(w.put_string(too_long), DecodeError);
+  EXPECT_THROW(c.put_string(too_long), DecodeError);
+  EXPECT_EQ(c.size(), w.size());
 }
 
 TEST(Bytes, UnderrunThrows) {

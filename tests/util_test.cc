@@ -28,6 +28,20 @@ namespace {
 
 // -- BloomFilter --------------------------------------------------------------
 
+std::vector<std::byte> encoded(const BloomFilter& f) {
+  ByteWriter w;
+  f.encode(w);
+  return w.take();
+}
+
+// Reads one filter that must take up all of `bytes`.
+BloomFilter decoded(std::span<const std::byte> bytes) {
+  ByteReader r(bytes);
+  BloomFilter f = BloomFilter::decode(r);
+  EXPECT_TRUE(r.done());
+  return f;
+}
+
 TEST(BloomFilter, EmptyFilterContainsNothing) {
   BloomFilter f;
   EXPECT_TRUE(f.empty_filter());
@@ -91,9 +105,9 @@ TEST(BloomFilter, EncodeDecodeRoundTrip) {
   BloomFilter f = BloomFilter::with_capacity(100, 0.01, 5);
   for (std::uint64_t k = 0; k < 100; ++k) f.insert(k * 977);
 
-  std::vector<std::byte> bytes;
-  f.encode(bytes);
-  const BloomFilter g = BloomFilter::decode(bytes);
+  const std::vector<std::byte> bytes = encoded(f);
+  EXPECT_EQ(bytes.size(), f.wire_size());
+  const BloomFilter g = decoded(bytes);
   EXPECT_EQ(g.bit_count(), f.bit_count());
   EXPECT_EQ(g.hash_count(), f.hash_count());
   EXPECT_EQ(g.seed(), f.seed());
@@ -104,10 +118,10 @@ TEST(BloomFilter, EncodeDecodeRoundTrip) {
 
 TEST(BloomFilter, EmptyEncodeDecode) {
   BloomFilter f;
-  std::vector<std::byte> bytes;
-  f.encode(bytes);
+  const std::vector<std::byte> bytes = encoded(f);
   EXPECT_EQ(bytes.size(), 1u);
-  EXPECT_TRUE(BloomFilter::decode(bytes).empty_filter());
+  EXPECT_EQ(f.wire_size(), 1u);
+  EXPECT_TRUE(decoded(bytes).empty_filter());
 }
 
 TEST(BloomFilter, WireSizeScalesWithCapacity) {
@@ -151,10 +165,7 @@ TEST(BloomFilter, FillRatioCountsBitsThroughEveryWrite) {
   }
   f.set_word(1, 0);
   EXPECT_EQ(f.fill_ratio(), popcount_ratio(f));
-  std::vector<std::byte> bytes;
-  f.encode(bytes);
-  const BloomFilter decoded = BloomFilter::decode(bytes);
-  EXPECT_EQ(decoded.fill_ratio(), f.fill_ratio());
+  EXPECT_EQ(decoded(encoded(f)).fill_ratio(), f.fill_ratio());
   BloomFilter copy = f;
   copy.insert(1234567);
   EXPECT_EQ(copy.fill_ratio(), popcount_ratio(copy));
@@ -209,10 +220,9 @@ TEST(BloomFilter, CopyThenSetWordLeavesTheOriginalUnchanged) {
 TEST(BloomFilter, ADecodedFilterSharesNothing) {
   BloomFilter f = BloomFilter::with_capacity(100, 0.01, 2);
   for (std::uint64_t k = 0; k < 40; ++k) f.insert(k);
-  std::vector<std::byte> bytes;
-  f.encode(bytes);
-  BloomFilter a = BloomFilter::decode(bytes);
-  const BloomFilter b = BloomFilter::decode(bytes);
+  const std::vector<std::byte> bytes = encoded(f);
+  BloomFilter a = decoded(bytes);
+  const BloomFilter b = decoded(bytes);
   EXPECT_NE(a.words().data(), f.words().data());
   EXPECT_NE(a.words().data(), b.words().data());
   const std::uint64_t* own = a.words().data();
@@ -438,12 +448,6 @@ TEST(RingQueue, HandsStorageBackAsItDrains) {
 }
 
 // -- LeakyBucket ----------------------------------------------------------------
-
-TEST(LeakyBucket, DisabledPassesThrough) {
-  LeakyBucket b;
-  EXPECT_FALSE(b.enabled());
-  EXPECT_EQ(b.offer(SimTime::seconds(5.0), 100000), SimTime::seconds(5.0));
-}
 
 TEST(LeakyBucket, BurstWithinCapacityReleasesImmediately) {
   LeakyBucket b(10000, 8e6);  // 10 KB capacity, 1 MB/s

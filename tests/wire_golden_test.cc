@@ -210,12 +210,12 @@ TEST(WireGolden, ClassicMetadataQuery) {
       "classic-metadata-query", Codec{}, golden_metadata_query(),
       "0000050000003412000000000000404b4c000000000004020100000002000000"
       "0002000600726567696f6e00020500706c617a6105006167655f7303003c0000"
-      "0000000000ae0000000100050000072a00000000000000000004000082000001"
-      "0200000000000000000040000000000000400000000000800020000000000040"
-      "8022080000000020000000000000101000000000000000180000000000000004"
-      "0000000000000022000000000080000000000000000000000000000000000100"
-      "1004010000000000000000040000000000000000080000000000000000000000"
-      "02800000400000200100100000000000000000000000000000");
+      "00000000000100050000072a0000000000000000000400008200000102000000"
+      "0000000000004000000000000040000000000080002000000000004080220800"
+      "0000002000000000000010100000000000000018000000000000000400000000"
+      "0000002200000000008000000000000000000000000000000000010010040100"
+      "0000000000000004000000000000000008000000000000000000000002800000"
+      "400000200100100000000000000000000000000000");
 }
 
 TEST(WireGolden, ClassicChunkQuery) {
@@ -223,8 +223,8 @@ TEST(WireGolden, ClassicChunkQuery) {
       "classic-chunk-query", Codec{}, golden_chunk_query(),
       "000303000000785600000000000080841e0000000000080001030004006b696e"
       "64020500766964656f07007175616c69747901000000000000e83f0700736567"
-      "6d656e7400640000000000000000000100000000040002000000030000000500"
-      "000009000000");
+      "6d656e7400640000000000000000000004000200000003000000050000000900"
+      "0000");
 }
 
 TEST(WireGolden, V2QueryFullDeltaFrame) {
@@ -316,15 +316,16 @@ TEST(WireGolden, TraceContextQuery) {
   m.trace =
       TraceContext{.trace_id = 0x1234, .parent_span = 0x9abc, .origin = 5,
                    .hop = 2};
-  expect_golden("trace-context-query", Codec(cfg), m, "8000050000003412000000000000404b4c000000000004020100000002000000"
+  expect_golden("trace-context-query", Codec(cfg), m,
+      "8000050000003412000000000000404b4c000000000004020100000002000000"
       "0002000600726567696f6e00020500706c617a6105006167655f7303003c0000"
-      "0000000000ae0000000100050000072a00000000000000000004000082000001"
-      "0200000000000000000040000000000000400000000000800020000000000040"
-      "8022080000000020000000000000101000000000000000180000000000000004"
-      "0000000000000022000000000080000000000000000000000000000000000100"
-      "1004010000000000000000040000000000000000080000000000000000000000"
-      "0280000040000020010010000000000000000000000000000034120000000000"
-      "00bc9a0000000000000500000002");
+      "00000000000100050000072a0000000000000000000400008200000102000000"
+      "0000000000004000000000000040000000000080002000000000004080220800"
+      "0000002000000000000010100000000000000018000000000000000400000000"
+      "0000002200000000008000000000000000000000000000000000010010040100"
+      "0000000000000004000000000000000008000000000000000000000002800000"
+      "4000002001001000000000000000000000000000003412000000000000bc9a00"
+      "00000000000500000002");
 }
 
 TEST(WireGolden, TraceContextPlusV2Extensions) {
