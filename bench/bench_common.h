@@ -79,16 +79,14 @@ inline obs::Report make_report(const char* experiment, const char* title,
   return obs::Report(std::move(options));
 }
 
-// Causal-trace capture for one representative run (DESIGN.md §14): an
-// unbounded tracer (drops would invalidate the span DAG and fail the
-// causal gate) that benches attach to a single run — usually seed index 0 —
-// and then fold into the report's "causal" section via add_causal_point().
+// Causal-trace capture for one representative run (DESIGN.md §14): a
+// tracer (which keeps every event, so the span DAG is whole) that benches
+// attach to a single run — usually seed index 0 — and then fold into the
+// report's "causal" section via add_causal_point().
 // Tracing never perturbs outcomes, so the traced run's metrics are
 // bit-identical to an untraced one; the capture only *adds* columns.
 class CausalCapture {
  public:
-  CausalCapture() : tracer_(/*capacity=*/0) {}
-
   [[nodiscard]] obs::Tracer* tracer() { return &tracer_; }
   void clear() { tracer_.clear(); }
 

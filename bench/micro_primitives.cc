@@ -3,9 +3,10 @@
 // assignment and the event queue.
 //
 // `micro_primitives --trace-overhead-gate` instead runs the tracer cost
-// gate: a full PDD experiment with the tracer compiled in but disabled must
-// cost <PDS_TRACE_OVERHEAD_MAX_PCT% (default 1%) over the same run with no
-// tracer attached. Exit 0 = pass, 1 = fail.
+// gate: the detached PDS_TRACE_* sites of a full PDD experiment (no tracer
+// attached, the default in every experiment) must cost
+// <PDS_TRACE_OVERHEAD_MAX_PCT% (default 1%) of the run. Exit 0 = pass,
+// 1 = fail.
 //
 // `micro_primitives --stats-overhead-gate` gates the flight-recorder seams
 // the same way: a detached sampler/profiler (the default in every
@@ -29,6 +30,7 @@
 #include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "sim/event_queue.h"
+#include "sim/simulator.h"
 #include "util/bloom_filter.h"
 #include "util/gap_assign.h"
 #include "workload/experiment.h"
@@ -337,40 +339,40 @@ void BM_VectorPoolRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_VectorPoolRoundTrip);
 
+// One detached PDS_TRACE_* site, as production runs execute it: the tracer
+// pointer is read through a Simulator whose address has escaped, and memory
+// is clobbered after every call, so each call reloads the pointer from memory
+// as `ctx_.sim.tracer()` does at real sites. Payload expressions are never
+// evaluated.
+void detached_trace_site(sim::Simulator& sim, std::uint64_t i) {
+  PDS_TRACE_INSTANT(sim.tracer(), SimTime::micros(static_cast<std::int64_t>(i)),
+                    NodeId(0), "bench", "tick", {"i", i});
+  benchmark::ClobberMemory();
+}
+
 void BM_TraceMacroDetached(benchmark::State& state) {
-  // The common case in production runs: no tracer attached. The macro must
-  // reduce to a null-pointer test; payload expressions are never evaluated.
-  obs::Tracer* tracer = nullptr;
+  sim::Simulator sim(1);
+  benchmark::DoNotOptimize(&sim);
   std::uint64_t i = 0;
-  for (auto _ : state) {
-    PDS_TRACE_INSTANT(tracer, SimTime::micros(static_cast<std::int64_t>(i)),
-                      NodeId(0), "bench", "tick", {"i", i});
-    benchmark::DoNotOptimize(++i);
-  }
+  for (auto _ : state) detached_trace_site(sim, i++);
 }
 BENCHMARK(BM_TraceMacroDetached);
 
-void BM_TraceMacroDisabled(benchmark::State& state) {
-  // Attached but disabled: one pointer test plus one branch.
-  obs::Tracer tracer;
-  tracer.set_enabled(false);
-  std::uint64_t i = 0;
-  for (auto _ : state) {
-    PDS_TRACE_INSTANT(&tracer, SimTime::micros(static_cast<std::int64_t>(i)),
-                      NodeId(0), "bench", "tick", {"i", i});
-    benchmark::DoNotOptimize(++i);
-  }
-}
-BENCHMARK(BM_TraceMacroDisabled);
-
 void BM_TraceEmitEnabled(benchmark::State& state) {
+  // An attached tracer keeps every event; it is cleared every kBatch events,
+  // outside the timed region, so the benchmark's memory stays bounded.
+  constexpr std::uint64_t kBatch = 1u << 16;
   obs::Tracer tracer;
   std::uint64_t i = 0;
   for (auto _ : state) {
     PDS_TRACE_INSTANT(&tracer, SimTime::micros(static_cast<std::int64_t>(i)),
                       NodeId(0), "bench", "tick", {"i", i},
                       {"half", i / 2});
-    ++i;
+    if (++i % kBatch == 0) {
+      state.PauseTiming();
+      tracer.clear();
+      state.ResumeTiming();
+    }
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -378,17 +380,19 @@ BENCHMARK(BM_TraceEmitEnabled);
 
 // -- Tracer overhead gate ----------------------------------------------------
 //
-// Gates the cost of the tracer compiled in but disabled at <1% of a full PDD
-// experiment. A direct wall-clock A/B of two ~1 s runs cannot resolve 1% on
-// a shared machine (scheduler noise alone is several percent), so the gate
-// derives the overhead instead:
+// Gates the cost of the trace sites with no tracer attached (the one off
+// state) at <1% of a full PDD experiment. A direct wall-clock A/B of two
+// ~1 s runs cannot resolve 1% on a shared machine (scheduler noise alone is
+// several percent), so the gate derives the overhead instead:
 //
-//   overhead% = (per-call cost of the disabled macro) x (number of trace
+//   overhead% = (per-call cost of the detached macro) x (number of trace
 //               sites the reference run hits) / (untraced run wall time)
 //
-// Per-call cost is measured over millions of iterations with a compiler
-// barrier (so the enabled_ check cannot be hoisted); the site count is the
-// deterministic event count of a traced run; the run time is min-of-N.
+// Per-call cost is measured over millions of iterations of
+// detached_trace_site (so the pointer test cannot be hoisted); the site
+// count is the deterministic event count of a traced run; the run time is
+// min-of-N. The stats gate below derives the detached sampler's and
+// profiler's cost the same way.
 double timed_pdd_run(pds::obs::Tracer* tracer) {
   wl::PddGridParams p;
   p.nx = p.ny = 10;
@@ -403,18 +407,13 @@ double timed_pdd_run(pds::obs::Tracer* tracer) {
   return std::chrono::duration<double>(t1 - t0).count();
 }
 
-// Seconds per PDS_TRACE_* call against an attached-but-disabled tracer.
-double disabled_macro_cost_s() {
-  obs::Tracer tracer;
-  tracer.set_enabled(false);
+// Seconds per detached PDS_TRACE_* call.
+double detached_macro_cost_s() {
+  sim::Simulator sim(1);
+  benchmark::DoNotOptimize(&sim);
   constexpr std::uint64_t kCalls = 50'000'000;
   const auto t0 = std::chrono::steady_clock::now();
-  for (std::uint64_t i = 0; i < kCalls; ++i) {
-    PDS_TRACE_INSTANT(&tracer, SimTime::micros(static_cast<std::int64_t>(i)),
-                      NodeId(0), "bench", "tick", {"i", i});
-    // Forces enabled_ to be re-read every iteration, as at real call sites.
-    benchmark::ClobberMemory();
-  }
+  for (std::uint64_t i = 0; i < kCalls; ++i) detached_trace_site(sim, i);
   const auto t1 = std::chrono::steady_clock::now();
   return std::chrono::duration<double>(t1 - t0).count() /
          static_cast<double>(kCalls);
@@ -422,12 +421,11 @@ double disabled_macro_cost_s() {
 
 int run_trace_overhead_gate() {
   // Deterministic count of trace sites the reference run hits.
-  obs::Tracer counting(0);
+  obs::Tracer counting;
   timed_pdd_run(&counting);
-  const auto calls = static_cast<double>(counting.events().size()) +
-                     static_cast<double>(counting.dropped());
+  const auto calls = static_cast<double>(counting.events().size());
 
-  const double per_call_s = disabled_macro_cost_s();
+  const double per_call_s = detached_macro_cost_s();
 
   constexpr int kReps = 5;
   timed_pdd_run(nullptr);  // warm-up
@@ -440,11 +438,11 @@ int run_trace_overhead_gate() {
       bench::env_nonneg_double("PDS_TRACE_OVERHEAD_MAX_PCT", 1.0);
   const double pct = calls * per_call_s / best_off * 100.0;
   std::printf(
-      "trace overhead gate: %.0f trace sites hit, %.2f ns/call disabled, "
+      "trace overhead gate: %.0f trace sites hit, %.2f ns/call detached, "
       "untraced run %.4fs => overhead %.4f%% (max %.2f%%)\n",
       calls, per_call_s * 1e9, best_off, pct, max_pct);
   if (pct > max_pct) {
-    std::printf("FAIL: disabled-tracer overhead above gate\n");
+    std::printf("FAIL: detached-tracer overhead above gate\n");
     return 1;
   }
   std::printf("PASS\n");
@@ -487,17 +485,18 @@ StatsSiteCounts stats_site_counts() {
   return c;
 }
 
-// Seconds per simulator event spent on the detached-sampler test.
+// Seconds per simulator event spent on the detached-sampler test. As in
+// detached_trace_site, the pointer is reloaded from an escaped Simulator on
+// every iteration, as the run loop reads `sampler_`.
 double detached_sampler_cost_s() {
-  obs::TimeSeries* sampler = nullptr;
-  benchmark::DoNotOptimize(sampler);
+  sim::Simulator sim(1);
+  benchmark::DoNotOptimize(&sim);
   constexpr std::uint64_t kCalls = 100'000'000;
   const auto t0 = std::chrono::steady_clock::now();
   for (std::uint64_t i = 0; i < kCalls; ++i) {
-    if (sampler != nullptr) {
+    if (obs::TimeSeries* sampler = sim.sampler(); sampler != nullptr) {
       sampler->advance_to(SimTime::micros(static_cast<std::int64_t>(i)));
     }
-    // Forces the pointer to be re-read every iteration, as in the run loop.
     benchmark::ClobberMemory();
   }
   const auto t1 = std::chrono::steady_clock::now();
@@ -505,14 +504,15 @@ double detached_sampler_cost_s() {
          static_cast<double>(kCalls);
 }
 
-// Seconds per instrumented scope with a detached profiler.
+// Seconds per instrumented scope with a detached profiler, read through an
+// escaped Simulator as `ctx_.sim.profiler()` is at real sites.
 double detached_scope_cost_s() {
-  obs::Profiler* profiler = nullptr;
-  benchmark::DoNotOptimize(profiler);
+  sim::Simulator sim(1);
+  benchmark::DoNotOptimize(&sim);
   constexpr std::uint64_t kCalls = 100'000'000;
   const auto t0 = std::chrono::steady_clock::now();
   for (std::uint64_t i = 0; i < kCalls; ++i) {
-    PDS_PROF_SCOPE(profiler, "sim");
+    PDS_PROF_SCOPE(sim.profiler(), "sim");
     benchmark::ClobberMemory();
   }
   const auto t1 = std::chrono::steady_clock::now();

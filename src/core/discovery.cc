@@ -5,7 +5,6 @@
 
 #include "common/assert.h"
 #include "common/hash.h"
-#include "common/logging.h"
 #include "obs/trace.h"
 
 namespace pds::core {
@@ -57,9 +56,6 @@ void DiscoverySession::start() {
 
 void DiscoverySession::start_round() {
   ++rounds_;
-  PDS_LOG_DEBUG("pdd", "node " << ctx_.self << " discovery round " << rounds_
-                               << " (" << arrivals_.size()
-                               << " entries so far)");
   PDS_TRACE_BEGIN(ctx_.sim.tracer(), ctx_.now(), ctx_.self, "pdd",
                   "round", {"round", rounds_},
                   {"arrivals", arrivals_.size()});
@@ -273,9 +269,6 @@ void DiscoverySession::close_round() {
 
 void DiscoverySession::finish() {
   PDS_ENSURE(!finished_);
-  PDS_LOG_DEBUG("pdd", "node " << ctx_.self << " discovery finished: "
-                               << arrivals_.size() << " entries in "
-                               << rounds_ << " round(s)");
   finished_ = true;
   result_.distinct_received = arrivals_.size();
   result_.latency = arrivals_.empty() ? SimTime::zero()

@@ -4,7 +4,6 @@
 #include <memory>
 
 #include "common/assert.h"
-#include "common/logging.h"
 #include "obs/trace.h"
 
 namespace pds::core {
@@ -94,9 +93,6 @@ void MdrSession::sync_from_store() {
 
 void MdrSession::start_round() {
   ++rounds_;
-  PDS_LOG_DEBUG("mdr", "node " << ctx_.self << " MDR round " << rounds_
-                               << " requesting " << missing_chunks().size()
-                               << " chunks");
   PDS_TRACE_INSTANT(ctx_.sim.tracer(), ctx_.now(), ctx_.self, "mdr", "round",
                     {"round", rounds_}, {"missing", missing_chunks().size()});
   round_start_ = ctx_.now();

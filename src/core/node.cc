@@ -1,7 +1,6 @@
 #include "core/node.h"
 
 #include "common/assert.h"
-#include "common/sim_clock.h"
 #include "obs/trace.h"
 
 namespace pds::core {
@@ -154,8 +153,6 @@ void PdsNode::on_message(const net::MessagePtr& msg) {
   // Crash semantics: the medium is normally detached too, but a message can
   // race the crash event through the transport's delivery queue.
   if (crashed_) return;
-  // Attribute any PDS_LOG line emitted while handling to this node.
-  const ScopedLogNode log_node(id_);
   ++messages_handled_;
   maybe_sweep();
   switch (msg->kind) {

@@ -4,7 +4,6 @@
 #include <memory>
 
 #include "common/assert.h"
-#include "common/logging.h"
 #include "core/causal.h"
 #include "core/pdr.h"
 #include "obs/trace.h"
@@ -122,9 +121,6 @@ void PdrSession::check_cdi() {
 
 void PdrSession::begin_fetch() {
   PDS_ENSURE(phase_ == Phase::kCdi);
-  PDS_LOG_DEBUG("pdr", "node " << ctx_.self << " CDI phase done after "
-                               << cdi_rounds_ << " round(s); fetching "
-                               << missing_chunks().size() << " chunks");
   PDS_TRACE_INSTANT(ctx_.sim.tracer(), ctx_.now(), ctx_.self, "pdr",
                     "cdi_done", {"rounds", cdi_rounds_},
                     {"missing", missing_chunks().size()});
@@ -158,10 +154,6 @@ void PdrSession::issue_requests() {
     return;
   }
   const ChunkPlan plan = plan_chunk_requests(ctx_, item_, missing);
-  if (!plan.unroutable.empty()) {
-    PDS_LOG_DEBUG("pdr", "node " << ctx_.self << ": " << plan.unroutable.size()
-                                 << " chunk(s) unroutable; refreshing CDI");
-  }
   PDS_TRACE_INSTANT(ctx_.sim.tracer(), ctx_.now(), ctx_.self, "pdr", "plan",
                     {"missing", missing.size()},
                     {"neighbors", plan.by_neighbor.size()},
@@ -269,10 +261,6 @@ void PdrSession::on_local_response(const net::Message& response) {
 
 void PdrSession::finish(bool complete) {
   PDS_ENSURE(phase_ != Phase::kDone && phase_ != Phase::kIdle);
-  PDS_LOG_DEBUG("pdr", "node " << ctx_.self << " retrieval "
-                               << (complete ? "complete" : "INCOMPLETE")
-                               << ": " << chunks_.size() << "/"
-                               << total_chunks_ << " chunks");
   PDS_TRACE_INSTANT(ctx_.sim.tracer(), ctx_.now(), ctx_.self, "pdr",
                     "session_done",
                     {"complete", static_cast<std::int64_t>(complete)},

@@ -260,15 +260,17 @@ class EntryCompressor {
   template <typename Sink>
   void encode_dict(Sink& w) const {
     w.put_varint(names_.size());
-    for (const std::string& n : names_) w.put_string(n);
+    for (const std::string_view n : names_) w.put_string(n);
   }
 
   template <typename Sink>
   void encode_entry(Sink& w, const core::DataDescriptor& d) {
     const auto& attrs = d.attributes();
     w.put_varint(attrs.size());
+    std::size_t guess = 0;
     for (const core::Attribute& a : attrs) {
-      const std::size_t idx = index_.at(a.name);
+      const std::size_t idx = index_of(a.name, guess);
+      guess = idx + 1;
       w.put_varint(idx);
       w.put_u8(static_cast<std::uint8_t>(a.value.index()));
       if (const auto* i = std::get_if<std::int64_t>(&a.value)) {
@@ -276,30 +278,56 @@ class EntryCompressor {
       } else if (const auto* f = std::get_if<double>(&a.value)) {
         w.put_f64(*f);
       } else {
-        const std::string& s = std::get<std::string>(a.value);
-        std::string& prev = prev_[idx];
+        const std::string_view s = std::get<std::string>(a.value);
+        std::string_view& prev = prev_[idx];
         const std::size_t limit = std::min(prev.size(), s.size());
         std::size_t common = 0;
         while (common < limit && prev[common] == s[common]) ++common;
         w.put_varint(common);
-        w.put_string(std::string_view(s).substr(common));
+        w.put_string(s.substr(common));
         prev = s;
       }
     }
   }
 
  private:
+  using Named = std::pair<std::string_view, std::size_t>;
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
+  // The by-name entry for `name`, or where it would be inserted.
+  std::vector<Named>::iterator find(std::string_view name) {
+    return std::lower_bound(
+        by_name_.begin(), by_name_.end(), name,
+        [](const Named& e, std::string_view n) { return e.first < n; });
+  }
+
+  // Dictionary index of `name`, or kNone. Entries mostly carry the same
+  // names in the same order, so `guess` (the index after the previous
+  // attribute's) is tried before the search.
+  std::size_t index_of(std::string_view name, std::size_t guess) {
+    if (guess < names_.size() && names_[guess] == name) return guess;
+    const auto it = find(name);
+    return it != by_name_.end() && it->first == name ? it->second : kNone;
+  }
+
   void add_names(const core::DataDescriptor& d) {
+    std::size_t guess = 0;
     for (const core::Attribute& a : d.attributes()) {
-      if (index_.emplace(a.name, names_.size()).second) {
+      std::size_t idx = index_of(a.name, guess);
+      if (idx == kNone) {
+        idx = names_.size();
+        by_name_.insert(find(a.name), Named{a.name, idx});
         names_.push_back(a.name);
       }
+      guess = idx + 1;
     }
   }
 
-  std::vector<std::string> names_;  // first-appearance order
-  std::map<std::string, std::size_t> index_;
-  std::vector<std::string> prev_;  // previous string value per name
+  // Views into the message's descriptors, which outlive the writer call, so
+  // building the dictionary and the prefix chains copies no string.
+  std::vector<std::string_view> names_;  // first-appearance order
+  std::vector<Named> by_name_;           // sorted by name, with its index
+  std::vector<std::string_view> prev_;   // previous string value per name
 };
 
 class EntryDecompressor {

@@ -6,7 +6,6 @@
 #include "common/arena.h"
 #include "common/assert.h"
 #include "common/hash.h"
-#include "common/logging.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
 
@@ -233,10 +232,6 @@ void Transport::check_pending(std::uint64_t token, int expected_round) {
     PDS_TRACE_INSTANT(sim_.tracer(), sim_.now(), self_, "transport", "give_up",
                       {"round", p.retransmissions},
                       {"awaiting", p.awaiting.size()});
-    PDS_LOG_DEBUG("transport",
-                  "node " << self_ << " gave up on packet after "
-                          << p.retransmissions << " retransmissions ("
-                          << p.awaiting.size() << " receiver(s) silent)");
     // Degrade instead of hanging: surface every still-silent receiver, in
     // id order, so the protocol layer can drop routes/queries through it.
     const std::vector<NodeId> silent = std::move(p.awaiting);

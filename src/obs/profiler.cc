@@ -70,7 +70,7 @@ Profiler::Node* Profiler::intern(Node* parent, const char* name) {
 }
 
 Profiler::Scope::Scope(Profiler* profiler, const char* name) {
-  if (profiler == nullptr || !profiler->enabled()) return;
+  if (profiler == nullptr) return;
   profiler_ = profiler;
   parent_ = t_cursor.profiler == profiler ? t_cursor.node : nullptr;
   node_ = profiler->intern(parent_, name);

@@ -19,7 +19,7 @@
 // order so a PDS_BENCH_JOBS sweep merges identically however runs were
 // scheduled across workers.
 //
-// Wall-clock readings never feed simulation state; a null or disabled
+// Wall-clock readings never feed simulation state; a detached (null)
 // profiler costs one pointer compare per scope.
 #pragma once
 
@@ -40,17 +40,10 @@ class Profiler {
   Profiler(const Profiler&) = delete;
   Profiler& operator=(const Profiler&) = delete;
 
-  [[nodiscard]] bool enabled() const {
-    return enabled_.load(std::memory_order_relaxed);
-  }
-  void set_enabled(bool enabled) {
-    enabled_.store(enabled, std::memory_order_relaxed);
-  }
-
   // One scope path's accumulator (defined in profiler.cc).
   struct Node;
 
-  // RAII scope. Inert when `profiler` is null or disabled.
+  // RAII scope. Inert when `profiler` is null.
   class Scope {
    public:
     Scope(Profiler* profiler, const char* name);
@@ -97,7 +90,6 @@ class Profiler {
   // Owns every node, in creation order; guarded by `mu_`.
   std::vector<std::unique_ptr<Node>> nodes_;
   std::atomic<Node*> first_root_{nullptr};
-  std::atomic<bool> enabled_{true};
 
   friend class Scope;
 };

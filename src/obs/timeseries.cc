@@ -42,7 +42,7 @@ void TimeSeries::reset(SimTime start) {
 void TimeSeries::step() {
   const SimTime at = next_at_;
   next_at_ = next_at_ + interval_;
-  if (!enabled_ || !collector_) return;
+  if (!collector_) return;
   staged_.assign(cols_.size(), 0.0);
   collector_(at, *this);
   rows_.push_back(Row{at, staged_});

@@ -62,9 +62,6 @@ class TimeSeries {
   TimeSeries(const TimeSeries&) = delete;
   TimeSeries& operator=(const TimeSeries&) = delete;
 
-  [[nodiscard]] bool enabled() const { return enabled_; }
-  void set_enabled(bool enabled) { enabled_ = enabled; }
-
   // Registers (or finds) a column. `name` must be a string literal or other
   // storage outliving the series; literal names are linted against
   // tools/telemetry_schema.h via the PDS_TS_COLUMN macro below. Registration
@@ -129,7 +126,6 @@ class TimeSeries {
 
   SimTime interval_;
   SimTime next_at_;
-  bool enabled_ = true;
   std::vector<Column> cols_;
   std::vector<double> staged_;
   std::vector<Row> rows_;

@@ -60,15 +60,8 @@ void append_ndjson_line(std::string& out, const TraceEvent& event) {
 
 }  // namespace
 
-Tracer::Tracer(std::size_t capacity) : capacity_(capacity) {}
-
 void Tracer::emit(Phase phase, SimTime t, NodeId node, const char* subsystem,
                   const char* name, std::initializer_list<Arg> args) {
-  if (!enabled_) return;
-  if (capacity_ != 0 && events_.size() == capacity_) {
-    events_.pop_front();
-    ++dropped_;
-  }
   TraceEvent& event = events_.emplace_back();
   event.t_us = t.as_micros();
   event.node = node.value();
@@ -81,25 +74,12 @@ void Tracer::emit(Phase phase, SimTime t, NodeId node, const char* subsystem,
   }
 }
 
-void Tracer::clear() {
-  events_.clear();
-  dropped_ = 0;
-}
-
 void Tracer::write_ndjson(std::ostream& os) const {
   std::string line;
   for (const TraceEvent& event : events_) {
     line.clear();
     append_ndjson_line(line, event);
     os << line;
-  }
-  // Ring-buffer overflow is data loss an analyzer must not paper over: a
-  // synthetic trailer records how many events were silently evicted so
-  // `pdscli trace check` / causal analysis can refuse truncated captures.
-  if (dropped_ > 0) {
-    os << "{\"t\":0,\"node\":" << NodeId::invalid().value()
-       << ",\"ph\":\"i\",\"sub\":\"trace\",\"ev\":\"drops\",\"args\":{\"count\":"
-       << dropped_ << "}}\n";
   }
 }
 

@@ -1,18 +1,21 @@
 // Sim-time structured event tracer (DESIGN.md §9).
 //
 // Protocol seams emit typed events keyed by (sim_time, node, subsystem,
-// event) into a bounded ring buffer; a trace can be rendered as NDJSON (one
-// JSON object per line — grep/jq-friendly, byte-deterministic for a given
-// seed) or as Chrome `trace_event` JSON for chrome://tracing / Perfetto.
+// event) into an in-memory log; a trace can be rendered as NDJSON (one JSON
+// object per line — grep/jq-friendly, byte-deterministic for a given seed) or
+// as Chrome `trace_event` JSON for chrome://tracing / Perfetto.
 //
-// Cost model, in order:
-//  * compiled out — defining PDS_TRACE_DISABLED turns every PDS_TRACE_*
-//    macro into a no-op statement; argument expressions are never evaluated;
-//  * attached but disabled — the macro is one pointer test plus one branch;
-//    argument expressions are never evaluated (they live inside the branch).
-//    bench/micro_primitives --trace-overhead-gate verifies this costs <1%;
-//  * enabled — a bounded-copy append into the ring (no allocation per event
-//    beyond deque chunking, no I/O); rendering happens after the run.
+// A tracer is either attached to a run or absent; there is no third state.
+// Cost model:
+//  * detached — the simulator's tracer pointer is null, so each PDS_TRACE_*
+//    site is one pointer load, one test and one branch; argument expressions
+//    are never evaluated (they live inside the branch).
+//    bench/micro_primitives --trace-overhead-gate verifies this costs <1% of
+//    a PDD run;
+//  * attached — every event is kept: a bounded copy into a `std::deque`
+//    (no allocation per event beyond deque chunking, no I/O); rendering
+//    happens after the run. Memory grows with the event count until
+//    `clear()`.
 //
 // Emission never draws randomness and never schedules events, so a traced
 // run is bit-identical (outcomes AND trace bytes) to an untraced one — the
@@ -37,7 +40,7 @@
 namespace pds::obs {
 
 // One typed key/value payload field. Only static strings are storable — the
-// payload must stay POD-ish so ring-buffer churn never allocates.
+// payload must stay POD-ish so appending an event never allocates for it.
 struct Arg {
   enum class Kind : std::uint8_t { kNone, kInt, kUint, kDouble, kStr };
 
@@ -83,14 +86,10 @@ struct TraceEvent {
 
 class Tracer {
  public:
-  // `capacity` bounds the ring; 0 keeps every event (full-trace export).
-  explicit Tracer(std::size_t capacity = kDefaultCapacity);
+  Tracer() = default;
 
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
-
-  [[nodiscard]] bool enabled() const { return enabled_; }
-  void set_enabled(bool enabled) { enabled_ = enabled; }
 
   void emit(Phase phase, SimTime t, NodeId node, const char* subsystem,
             const char* name, std::initializer_list<Arg> args);
@@ -111,9 +110,7 @@ class Tracer {
   [[nodiscard]] const std::deque<TraceEvent>& events() const {
     return events_;
   }
-  // Events overwritten by ring wrap-around since the last clear().
-  [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
-  void clear();
+  void clear() { events_.clear(); }
 
   // One JSON object per line, field order fixed — byte-deterministic.
   void write_ndjson(std::ostream& os) const;
@@ -121,34 +118,22 @@ class Tracer {
   // Chrome trace_event JSON array ({"traceEvents": [...]}); node maps to tid.
   void write_chrome_trace(std::ostream& os) const;
 
-  static constexpr std::size_t kDefaultCapacity = 1u << 16;
-
  private:
-  bool enabled_ = true;
-  std::size_t capacity_;
   std::deque<TraceEvent> events_;
-  std::uint64_t dropped_ = 0;
 };
 
 }  // namespace pds::obs
 
 // Emission macros: `tracer` is a possibly-null pds::obs::Tracer*. Payload
-// argument expressions are only evaluated when the tracer is attached and
-// enabled. Build with -DPDS_TRACE_DISABLED to compile all of it out.
-#ifndef PDS_TRACE_DISABLED
-#define PDS_TRACE_EMIT(tracer, phase, t, node, subsystem, name, ...)         \
-  do {                                                                       \
-    ::pds::obs::Tracer* pds_trace_tr = (tracer);                             \
-    if (pds_trace_tr != nullptr && pds_trace_tr->enabled()) {                \
-      pds_trace_tr->emit((phase), (t), (node), (subsystem), (name),          \
-                         {__VA_ARGS__});                                     \
-    }                                                                        \
+// argument expressions are only evaluated when a tracer is attached.
+#define PDS_TRACE_EMIT(tracer, phase, t, node, subsystem, name, ...)   \
+  do {                                                                 \
+    ::pds::obs::Tracer* pds_trace_tr = (tracer);                       \
+    if (pds_trace_tr != nullptr) {                                     \
+      pds_trace_tr->emit((phase), (t), (node), (subsystem), (name),    \
+                         {__VA_ARGS__});                               \
+    }                                                                  \
   } while (false)
-#else
-#define PDS_TRACE_EMIT(tracer, phase, t, node, subsystem, name, ...) \
-  do {                                                               \
-  } while (false)
-#endif
 
 #define PDS_TRACE_INSTANT(tracer, t, node, subsystem, name, ...)          \
   PDS_TRACE_EMIT(tracer, ::pds::obs::Phase::kInstant, t, node, subsystem, \

@@ -5,7 +5,6 @@
 #include <functional>
 
 #include "common/rng.h"
-#include "common/sim_clock.h"
 #include "common/sim_time.h"
 #include "sim/event_queue.h"
 
@@ -21,10 +20,7 @@ class Simulator {
  public:
   explicit Simulator(std::uint64_t seed,
                      SchedulerKind scheduler = SchedulerKind::kCalendar)
-      : queue_(scheduler), rng_(seed) {
-    push_sim_clock(&now_);
-  }
-  ~Simulator() { pop_sim_clock(); }
+      : queue_(scheduler), rng_(seed) {}
 
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
@@ -32,16 +28,18 @@ class Simulator {
   [[nodiscard]] SimTime now() const { return now_; }
   [[nodiscard]] Rng& rng() { return rng_; }
 
-  // Observability hooks: a structured-event tracer owned by the caller
-  // (Scenario or test). Null means untraced; subsystems guard every emit.
+  // Observability hooks. Each observer is owned by the caller (Scenario or
+  // test) and is either attached or null; null is the one off state.
+  //
+  // Structured-event tracer: subsystems guard every emit on the pointer.
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
   [[nodiscard]] obs::Tracer* tracer() const { return tracer_; }
 
   // Sim-time resource sampler (obs/timeseries.h), owned by the caller. The
   // run loop commits a row at every interval boundary the clock crosses —
   // before executing the event that crosses it, so a row reflects the state
-  // "just before t". Null means unsampled; the disabled cost is one pointer
-  // compare per event (gated <1% like the tracer).
+  // "just before t". A detached sampler costs one pointer compare per event
+  // (gated <1% like the tracer).
   void set_sampler(obs::TimeSeries* sampler) { sampler_ = sampler; }
   [[nodiscard]] obs::TimeSeries* sampler() const { return sampler_; }
 

@@ -46,7 +46,7 @@ constexpr std::uint64_t span_id(std::uint32_t node, std::uint64_t seq) {
 // exactly one xmit frame attributed to the tx span.
 
 TEST(CausalTrace, SingleHopGoldenSpans) {
-  obs::Tracer tracer(0);
+  obs::Tracer tracer;
   SingleHopParams p;
   p.senders = 1;
   p.messages_per_sender = 1;
@@ -98,7 +98,7 @@ TEST(CausalTrace, SingleHopGoldenSpans) {
 }
 
 TEST(CausalTrace, SingleHopGoldenCriticalPath) {
-  obs::Tracer tracer(0);
+  obs::Tracer tracer;
   SingleHopParams p;
   p.senders = 1;
   p.messages_per_sender = 1;
@@ -140,7 +140,7 @@ TEST(CausalTrace, SingleHopGoldenCriticalPath) {
 // into complete DAGs, and each completed session has a critical path.
 
 TEST(CausalTrace, PddGridDagIsOrphanFree) {
-  obs::Tracer tracer(0);
+  obs::Tracer tracer;
   PddGridParams p;
   p.nx = p.ny = 5;
   p.metadata_count = 400;
@@ -169,7 +169,7 @@ TEST(CausalTrace, PddGridDagIsOrphanFree) {
 TEST(CausalTrace, RetrievalDagIsOrphanFreeForPdrAndMdr) {
   for (const RetrievalMethod method :
        {RetrievalMethod::kPdr, RetrievalMethod::kMdr}) {
-    obs::Tracer tracer(0);
+    obs::Tracer tracer;
     RetrievalGridParams p;
     p.nx = p.ny = 4;
     p.item_size_bytes = 2u * 1024 * 1024;
@@ -198,7 +198,7 @@ TEST(CausalTrace, RetrievalDagIsOrphanFreeForPdrAndMdr) {
 // radio fan-out would show up here as byte drift.
 
 std::string causal_json(std::uint64_t seed, int shard_threads) {
-  obs::Tracer tracer(0);
+  obs::Tracer tracer;
   PddGridParams p;
   p.nx = p.ny = 5;
   p.metadata_count = 400;

@@ -1,4 +1,4 @@
-// Unit tests for src/obs: the sim-time tracer (ring buffer, NDJSON/Chrome
+// Unit tests for src/obs: the sim-time tracer (event retention, NDJSON/Chrome
 // rendering, macro no-eval guarantees) with the tools/trace_reader.h parser
 // and check_trace validator, and the flight recorder (obs/timeseries.h
 // sampler, obs/profiler.h scoped profiler) with the tools/stats_analysis.h
@@ -12,57 +12,29 @@
 #include <vector>
 
 #include "common/arena.h"
-#include "common/sim_clock.h"
 #include "obs/profiler.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
-#include "sim/simulator.h"
 #include "tools/stats_analysis.h"
 #include "tools/trace_reader.h"
 
 namespace pds::obs {
 namespace {
 
-TEST(SimClock, SimulatorRegistersClockAndScopedNodeNests) {
-  EXPECT_EQ(current_sim_clock(), nullptr);
-  EXPECT_EQ(current_log_node(), NodeId::invalid().value());
-  {
-    sim::Simulator outer(1);
-    ASSERT_NE(current_sim_clock(), nullptr);
-    EXPECT_EQ(*current_sim_clock(), SimTime::zero());
-    {
-      // A nested simulator (e.g. a sub-experiment) shadows, then restores.
-      sim::Simulator inner(2);
-      inner.schedule(SimTime::seconds(1.5), [] {
-        EXPECT_DOUBLE_EQ(current_sim_clock()->as_seconds(), 1.5);
-      });
-      inner.run(SimTime::seconds(2.0));
-    }
-    ASSERT_NE(current_sim_clock(), nullptr);
-    EXPECT_EQ(*current_sim_clock(), SimTime::zero());
-
-    const ScopedLogNode a(NodeId(4));
-    EXPECT_EQ(current_log_node(), 4u);
-    {
-      const ScopedLogNode b(NodeId(9));
-      EXPECT_EQ(current_log_node(), 9u);
-    }
-    EXPECT_EQ(current_log_node(), 4u);
+TEST(Tracer, KeepsEveryEventUntilCleared) {
+  // An attached tracer has no capacity: nothing is evicted, so a capture
+  // never carries a trace/drops trailer.
+  Tracer tracer;
+  constexpr std::int64_t kEvents = 100'000;
+  for (std::int64_t i = 0; i < kEvents; ++i) {
+    tracer.instant(SimTime::micros(i), NodeId(0), "s", "e");
   }
-  EXPECT_EQ(current_sim_clock(), nullptr);
-}
-
-TEST(Tracer, RingBufferDropsOldestAtCapacity) {
-  Tracer tracer(2);
-  tracer.instant(SimTime::micros(1), NodeId(0), "s", "a");
-  tracer.instant(SimTime::micros(2), NodeId(0), "s", "b");
-  tracer.instant(SimTime::micros(3), NodeId(0), "s", "c");
-  ASSERT_EQ(tracer.events().size(), 2u);
-  EXPECT_EQ(tracer.dropped(), 1u);
-  EXPECT_STREQ(tracer.events().front().name, "b");
+  ASSERT_EQ(tracer.events().size(), static_cast<std::size_t>(kEvents));
+  EXPECT_EQ(tracer.events().front().t_us, 0);
+  EXPECT_EQ(tracer.events().back().t_us, kEvents - 1);
+  EXPECT_EQ(tracer.ndjson().find("\"drops\""), std::string::npos);
   tracer.clear();
   EXPECT_TRUE(tracer.events().empty());
-  EXPECT_EQ(tracer.dropped(), 0u);
 }
 
 TEST(Tracer, NdjsonIsExactAndTyped) {
@@ -91,7 +63,7 @@ TEST(Tracer, ChromeTraceRendersPhasesAndTids) {
   EXPECT_NE(out.find("\"s\":\"t\""), std::string::npos);
 }
 
-TEST(Tracer, MacroSkipsArgEvaluationWhenDetachedOrDisabled) {
+TEST(Tracer, MacroSkipsArgEvaluationWhenDetached) {
   int evaluations = 0;
   const auto expensive = [&evaluations] {
     ++evaluations;
@@ -103,13 +75,6 @@ TEST(Tracer, MacroSkipsArgEvaluationWhenDetachedOrDisabled) {
   EXPECT_EQ(evaluations, 0);
 
   Tracer tracer;
-  tracer.set_enabled(false);
-  PDS_TRACE_INSTANT(&tracer, SimTime::zero(), NodeId(0), "s", "e",
-                    {"v", expensive()});
-  EXPECT_EQ(evaluations, 0);
-  EXPECT_TRUE(tracer.events().empty());
-
-  tracer.set_enabled(true);
   PDS_TRACE_INSTANT(&tracer, SimTime::zero(), NodeId(0), "s", "e",
                     {"v", expensive()});
   EXPECT_EQ(evaluations, 1);
@@ -294,17 +259,22 @@ TEST(Profiler, NestedScopesBuildPathsAndCountCalls) {
   EXPECT_GE(entries[0].ns, entries[1].ns);
 }
 
-TEST(Profiler, DisabledAndDetachedScopesAreInert) {
+TEST(Profiler, DetachedScopesAreInert) {
   Profiler prof;
-  prof.set_enabled(false);
+  Profiler* detached = nullptr;
   {
-    PDS_PROF_SCOPE(&prof, "sim");
+    PDS_PROF_SCOPE(detached, "sim");  // must not crash
+    PDS_PROF_SCOPE(detached, "radio");
   }
-  EXPECT_TRUE(prof.snapshot().empty());
-  Profiler* null_prof = nullptr;
+  // A detached scope leaves no trace in the thread's scope cursor: the next
+  // attached scope is a root, not a child of the detached ones.
   {
-    PDS_PROF_SCOPE(null_prof, "sim");  // must not crash
+    PDS_PROF_SCOPE(&prof, "pdd");
   }
+  const auto entries = prof.snapshot();
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].path, "pdd");
+  EXPECT_EQ(entries[0].calls, 1u);
 }
 
 TEST(Profiler, MergeSnapshotsFoldsByPath) {

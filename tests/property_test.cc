@@ -235,7 +235,7 @@ std::int64_t arg_value(const obs::TraceEvent& e, const char* key) {
 // `seed`, so a rerun with the same seed replays the identical schedule.
 FaultCaseOutcome run_random_fault_case(std::uint64_t seed) {
   FaultCaseOutcome out;
-  obs::Tracer tracer(0);  // unbounded: keep the full stream
+  obs::Tracer tracer;
 
   GridSetup setup;
   setup.nx = setup.ny = 5;

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <unordered_set>
+#include <vector>
 
 #include "net/message.h"
 #include "sim/event_queue.h"
@@ -114,6 +116,34 @@ TEST(Simulator, StopHaltsImmediately) {
   }
   sim.run();
   EXPECT_EQ(count, 3);
+}
+
+TEST(Simulator, SixteenLiveOnOneThreadRunAndDieInConstructionOrder) {
+  // Simulators share no per-thread state: one thread may hold any number of
+  // them, run each, and destroy them oldest first while younger ones keep
+  // running.
+  constexpr std::size_t kSims = 16;
+  std::vector<std::unique_ptr<Simulator>> sims;
+  for (std::size_t i = 0; i < kSims; ++i) {
+    sims.push_back(std::make_unique<Simulator>(i));
+  }
+  std::vector<SimTime> seen(kSims);
+  const auto run_one = [&sims, &seen](std::size_t i) {
+    Simulator& sim = *sims[i];
+    sim.schedule(SimTime::millis(static_cast<std::int64_t>(i) + 1),
+                 [&sim, &seen, i] { seen[i] = sim.now(); });
+    sim.run();
+  };
+  for (std::size_t i = 0; i < kSims; ++i) run_one(i);
+  // Destroy in construction order; the younger half runs again in between.
+  for (std::size_t i = 0; i < kSims / 2; ++i) sims[i].reset();
+  for (std::size_t i = kSims / 2; i < kSims; ++i) run_one(i);
+  for (std::size_t i = kSims / 2; i < kSims; ++i) sims[i].reset();
+  for (std::size_t i = 0; i < kSims; ++i) {
+    const std::int64_t ms = static_cast<std::int64_t>(i) + 1;
+    EXPECT_EQ(seen[i], SimTime::millis(i < kSims / 2 ? ms : 2 * ms))
+        << "simulator " << i;
+  }
 }
 
 // -- Topology -----------------------------------------------------------------

@@ -2,9 +2,8 @@
 // tracer leaves every experiment outcome bit-identical to the untraced run,
 // (b) the NDJSON bytes are identical whether the radio's spatial grid is on
 // or off, and (c) identical when runs execute on PDS_BENCH_JOBS>1 worker
-// threads (each worker owns its own Simulator and tracer; the thread-local
-// sim-clock context must not leak between them). The PDD, PDR and faulted
-// captures must also pass check_trace against the event catalog.
+// threads (each worker owns its own Simulator and tracer). The PDD, PDR and
+// faulted captures must also pass check_trace against the event catalog.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -64,7 +63,7 @@ std::string violations(const std::vector<tools::ParsedEvent>& events) {
 
 TEST(TraceDeterminism, TracedPddOutcomeBitIdenticalToUntraced) {
   const PddOutcome untraced = run_pdd_grid(small_pdd(7, nullptr));
-  obs::Tracer tracer(0);
+  obs::Tracer tracer;
   const PddOutcome traced = run_pdd_grid(small_pdd(7, &tracer));
   EXPECT_TRUE(same_outcome(untraced, traced));
   EXPECT_FALSE(tracer.events().empty());
@@ -81,7 +80,7 @@ TEST(TraceDeterminism, TracedPdrOutcomeBitIdenticalToUntraced) {
   p.item_size_bytes = 2u * 1024 * 1024;
   p.seed = 3;
   const RetrievalOutcome untraced = run_retrieval_grid(p);
-  obs::Tracer tracer(0);
+  obs::Tracer tracer;
   p.tracer = &tracer;
   const RetrievalOutcome traced = run_retrieval_grid(p);
   EXPECT_EQ(untraced.recall, traced.recall);
@@ -96,9 +95,9 @@ TEST(TraceDeterminism, TracedPdrOutcomeBitIdenticalToUntraced) {
 }
 
 TEST(TraceDeterminism, NdjsonBytesIdenticalWithGridOnAndOff) {
-  obs::Tracer with_grid(0);
+  obs::Tracer with_grid;
   (void)run_pdd_grid(small_pdd(11, &with_grid, /*spatial_grid=*/true));
-  obs::Tracer without_grid(0);
+  obs::Tracer without_grid;
   (void)run_pdd_grid(small_pdd(11, &without_grid, /*spatial_grid=*/false));
   EXPECT_FALSE(with_grid.events().empty());
   EXPECT_EQ(with_grid.ndjson(), without_grid.ndjson());
@@ -137,13 +136,13 @@ TEST(TraceDeterminism, NdjsonBytesIdenticalUnderParallelJobs) {
 // trace streams (equal-timestamp events pop in identical order).
 
 TEST(TraceDeterminism, NdjsonBytesIdenticalAcrossSchedulerKinds) {
-  obs::Tracer calendar(0);
+  obs::Tracer calendar;
   {
     PddGridParams p = small_pdd(13, &calendar);
     p.scheduler = sim::SchedulerKind::kCalendar;
     (void)run_pdd_grid(p);
   }
-  obs::Tracer heap(0);
+  obs::Tracer heap;
   {
     PddGridParams p = small_pdd(13, &heap);
     p.scheduler = sim::SchedulerKind::kHeap;
@@ -177,7 +176,7 @@ TEST(TraceDeterminism, PdrOutcomeBitIdenticalAcrossSchedulerKinds) {
 // worker pool on every transmission.
 
 std::string sharded_ndjson(std::uint64_t seed, int threads) {
-  obs::Tracer tracer(0);
+  obs::Tracer tracer;
   PddGridParams p = small_pdd(seed, &tracer);
   p.radio.shard_threads = threads;
   p.radio.shard_min_candidates = 0;
@@ -196,34 +195,42 @@ TEST(TraceDeterminism, NdjsonBytesIdenticalAcrossShardThreadCounts) {
   }
 }
 
-// -- Ring-buffer drops -------------------------------------------------------
-// An analyzed run must never have silently lost events: the tracer counts
-// evictions, write_ndjson appends a trace/drops trailer, and the causal
-// analyzer refuses to treat a truncated ring as a complete DAG. The suite's
-// own captures are unbounded and must therefore report zero drops.
+// -- Dropped events ----------------------------------------------------------
+// An analyzed run must never have silently lost events. The tracer keeps
+// every event, so its own captures carry no trace/drops trailer; a capture
+// from a ring-buffered tracer of an older build may, and the causal analyzer
+// and the checker refuse to treat it as complete.
 
 TEST(TraceDeterminism, AnalyzedRunsReportNoDroppedEvents) {
-  obs::Tracer tracer(0);
+  obs::Tracer tracer;
   (void)run_pdd_grid(small_pdd(7, &tracer));
-  EXPECT_EQ(tracer.dropped(), 0u);
   const auto events = parse(tracer);
   EXPECT_EQ(tools::analyze_causal(events).dropped_events, 0u);
   EXPECT_EQ(violations(events), "");
 }
 
 TEST(TraceDeterminism, BoundedRingSurfacesDropCount) {
-  obs::Tracer tracer(/*capacity=*/64);
+  // A full capture with the trailer a ring-buffered tracer appended after
+  // evicting events, as an older build would have written it.
+  constexpr std::uint64_t kDropped = 1234;
+  obs::Tracer tracer;
   (void)run_pdd_grid(small_pdd(7, &tracer));
-  ASSERT_GT(tracer.dropped(), 0u);
-  const auto events = parse(tracer);
+  std::stringstream ss;
+  tracer.write_ndjson(ss);
+  ss << "{\"t\":0,\"node\":" << NodeId::invalid().value()
+     << ",\"ph\":\"i\",\"sub\":\"trace\",\"ev\":\"drops\","
+     << "\"args\":{\"count\":" << kDropped << "}}\n";
+  std::size_t bad_line = 0;
+  const auto events = tools::read_trace(ss, bad_line);
+  ASSERT_EQ(bad_line, 0u);
   // The trailer round-trips the exact eviction count into the analysis.
-  EXPECT_EQ(tools::analyze_causal(events).dropped_events, tracer.dropped());
+  EXPECT_EQ(tools::analyze_causal(events).dropped_events, kDropped);
   // ... and the checker fails the capture on it, at the trailer's line.
   const tools::TraceCheck check = tools::check_trace(events);
   ASSERT_FALSE(check.violations.empty());
   EXPECT_EQ(check.violations.back().line, events.size());
   EXPECT_EQ(check.violations.back().what,
-            "tracer dropped " + std::to_string(tracer.dropped()) +
+            "tracer dropped " + std::to_string(kDropped) +
                 " event(s) (ring buffer overflow)");
 }
 
@@ -252,9 +259,9 @@ PddGridParams faulted_pdd(std::uint64_t seed, obs::Tracer* tracer) {
 }
 
 TEST(TraceDeterminism, FaultedRunSameSeedSameScheduleByteIdentical) {
-  obs::Tracer a(0);
+  obs::Tracer a;
   const PddOutcome out_a = run_pdd_grid(faulted_pdd(5, &a));
-  obs::Tracer b(0);
+  obs::Tracer b;
   const PddOutcome out_b = run_pdd_grid(faulted_pdd(5, &b));
   EXPECT_TRUE(same_outcome(out_a, out_b));
   EXPECT_FALSE(a.events().empty());

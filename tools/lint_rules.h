@@ -114,15 +114,14 @@ inline constexpr FileAllowEntry kFileAllowlist[] = {
 };
 
 // unordered-iter fires only in determinism-sensitive files: ones that emit
-// trace/report/stats/log output or consume Rng. Sensitivity is detected
+// trace/report/stats output, print, or consume Rng. Sensitivity is detected
 // from the file's own tokens.
 inline constexpr const char* kOutputTokens[] = {
-    "Tracer",         "PDS_TRACE_EMIT", "PDS_TRACE_INSTANT",
-    "PDS_TRACE_BEGIN", "PDS_TRACE_END", "PDS_LOG_DEBUG",
-    "PDS_LOG_INFO",   "PDS_LOG_WARN",  "Report",
-    "JsonWriter",     "Table",         "printf",
-    "fprintf",        "snprintf",      "cout",
-    "cerr",           "Rng",           "Stats",
+    "Tracer",          "PDS_TRACE_EMIT", "PDS_TRACE_INSTANT",
+    "PDS_TRACE_BEGIN", "PDS_TRACE_END",  "Report",
+    "JsonWriter",      "Table",          "printf",
+    "fprintf",         "snprintf",       "cout",
+    "cerr",            "Rng",            "Stats",
 };
 
 // uninit-field scans only codec/message-type headers (path-suffix match):

@@ -24,6 +24,10 @@
 // catalog (tools/telemetry_schema.h): exit 0 when clean, 1 on violations
 // (the first 20 printed), 2 on a usage or I/O error.
 //
+// A misspelled flag, a stray argument or a malformed value (`--grid=abc`,
+// `--runs=0`, `--mode=fast`) is refused with the usage text and exit 2
+// before anything runs.
+//
 // Grid experiments (pdd/pdr/mdr) also accept --stats=FILE to capture the
 // final run's flight-recorder series (pds-timeseries/1 NDJSON, sampled every
 // --stats-interval-ms, default 1000) with a trailing wall-clock profile
@@ -31,6 +35,9 @@
 // and percentiles, channel utilization, profile shares); --json emits the
 // same as a pds-stats-report/1 document and --csv exports the raw rows.
 #include <algorithm>
+#include <cerrno>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -54,50 +61,144 @@
 namespace pds {
 namespace {
 
+// What a flag's value must look like. Every flag pdscli reads is in kFlags
+// with the commands that take it, so a misspelled flag or a malformed value
+// is refused with the usage text and exit 2 before anything runs, as the
+// bench env knobs are (bench/parallel_runs.h): a run with a silently
+// substituted default answers a question nobody asked.
+enum class FlagKind : std::uint8_t {
+  kText,    // `--name=VALUE`; with choices, one of them
+  kCount,   // integer >= 1
+  kInt,     // integer >= 0
+  kReal,    // finite number >= 0
+  kSwitch,  // bare `--name`, or `--name=0|1`
+};
+
+struct FlagSpec {
+  const char* name;
+  FlagKind kind;
+  const char* commands;           // '|'-separated
+  const char* choices = nullptr;  // kText: '|'-separated allowed values
+};
+
+// Commands are an experiment name or the subcommand words.
+constexpr const char* kCommands =
+    "pdd|pdr|mdr|pdd-mobility|pdr-mobility|singlehop|trace|trace critpath|"
+    "trace check|stats";
+constexpr const char* kRuns = "pdd|pdr|mdr|pdd-mobility|pdr-mobility|singlehop";
+constexpr const char* kGrids = "pdd|pdr|mdr";
+constexpr const char* kMobility = "pdd-mobility|pdr-mobility";
+constexpr const char* kReports = "trace|trace critpath|stats";
+
+constexpr FlagSpec kFlags[] = {
+    {"experiment", FlagKind::kText, kRuns},  // names the command itself
+    {"seed", FlagKind::kInt, kRuns},
+    {"runs", FlagKind::kCount, kRuns},
+    {"trace", FlagKind::kText, kRuns},
+    {"trace-format", FlagKind::kText, kRuns, "ndjson|chrome"},
+    {"grid", FlagKind::kCount, kGrids},
+    {"consumers", FlagKind::kCount, kGrids},
+    {"sequential", FlagKind::kSwitch, kGrids},
+    {"stats", FlagKind::kText, kGrids},
+    {"stats-interval-ms", FlagKind::kCount, kGrids},
+    {"redundancy", FlagKind::kCount, "pdd|pdr|mdr|pdr-mobility"},
+    {"entries", FlagKind::kCount, "pdd|pdd-mobility"},
+    {"single-round", FlagKind::kSwitch, "pdd"},
+    {"no-ack", FlagKind::kSwitch, "pdd"},
+    {"item-mb", FlagKind::kCount, "pdr|mdr|pdr-mobility"},
+    {"contended", FlagKind::kSwitch, "pdr|mdr"},
+    {"scenario", FlagKind::kText, kMobility, "student_center|classroom"},
+    {"mobility", FlagKind::kReal, kMobility},
+    {"minutes", FlagKind::kReal, kMobility},
+    {"mode", FlagKind::kText, "singlehop", "raw|leaky|leaky_ack"},
+    {"senders", FlagKind::kCount, "singlehop"},
+    {"messages", FlagKind::kCount, "singlehop"},
+    {"file", FlagKind::kText, "trace|trace critpath|trace check|stats"},
+    {"entries", FlagKind::kReal, "trace"},
+    {"top", FlagKind::kInt, kReports},
+    {"json", FlagKind::kSwitch, kReports},
+    {"max-traces", FlagKind::kInt, "trace critpath"},
+    {"csv", FlagKind::kSwitch, "stats"},
+};
+
+// Whether `word` is one of the '|'-separated words of `list`.
+bool in_list(const char* list, const std::string& word) {
+  const std::string all = std::string("|") + list + "|";
+  return word.find('|') == std::string::npos &&
+         all.find("|" + word + "|") != std::string::npos;
+}
+
+// Empty when `value` (nullopt for a bare `--name`) fits `spec`; otherwise
+// what it should have been.
+std::string check_value(const FlagSpec& spec,
+                        const std::optional<std::string>& value) {
+  if (spec.kind == FlagKind::kSwitch) {
+    return !value || *value == "0" || *value == "1" ? "" : "0 or 1";
+  }
+  if (!value) return "a value";
+  const char* text = value->c_str();
+  char* end = nullptr;
+  errno = 0;
+  switch (spec.kind) {
+    case FlagKind::kText:
+      if (spec.choices == nullptr || in_list(spec.choices, *value)) {
+        return "";
+      }
+      return std::string("one of ") + spec.choices;
+    case FlagKind::kCount:
+    case FlagKind::kInt: {
+      const long long v = std::strtoll(text, &end, 10);
+      const long long min = spec.kind == FlagKind::kCount ? 1 : 0;
+      if (end != text && *end == '\0' && errno == 0 && v >= min) return "";
+      return min == 1 ? "an integer >= 1" : "an integer >= 0";
+    }
+    case FlagKind::kReal: {
+      const double v = std::strtod(text, &end);
+      if (end != text && *end == '\0' && errno == 0 && std::isfinite(v) &&
+          v >= 0.0) {
+        return "";
+      }
+      return "a number >= 0";
+    }
+    case FlagKind::kSwitch:
+      break;
+  }
+  return "";
+}
+
+// Parsed `--name[=value]` flags (nullopt for a bare `--name`); every value
+// was checked against its FlagSpec before a getter runs.
 struct Flags {
-  std::map<std::string, std::string> values;
+  std::map<std::string, std::optional<std::string>> values;
 
   [[nodiscard]] std::string get(const std::string& key,
                                 const std::string& dflt) const {
     auto it = values.find(key);
-    return it == values.end() ? dflt : it->second;
+    return it == values.end() ? dflt : it->second.value_or("1");
   }
   [[nodiscard]] long num(const std::string& key, long dflt) const {
-    auto it = values.find(key);
-    return it == values.end() ? dflt : std::atol(it->second.c_str());
+    return values.contains(key) ? std::atol(get(key, "").c_str()) : dflt;
   }
   [[nodiscard]] double real(const std::string& key, double dflt) const {
-    auto it = values.find(key);
-    return it == values.end() ? dflt : std::atof(it->second.c_str());
+    return values.contains(key) ? std::atof(get(key, "").c_str()) : dflt;
+  }
+  [[nodiscard]] bool on(const std::string& key) const {
+    return get(key, "0") == "1";
   }
 };
 
-Flags parse(int argc, char** argv) {
-  Flags flags;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) continue;
-    arg = arg.substr(2);
-    const std::size_t eq = arg.find('=');
-    if (eq == std::string::npos) {
-      flags.values[arg] = "1";
-    } else {
-      flags.values[arg.substr(0, eq)] = arg.substr(eq + 1);
-    }
-  }
-  return flags;
-}
-
-int usage() {
+int usage(const std::string& error = "") {
+  if (!error.empty()) std::fprintf(stderr, "pdscli: %s\n", error.c_str());
   std::fprintf(
       stderr,
       "usage: pdscli --experiment=<pdd|pdr|mdr|pdd-mobility|pdr-mobility|"
       "singlehop> [options]\n"
-      "       pdscli trace --file=<trace.ndjson> [--entries=N] [--json]\n"
-      "       pdscli trace critpath --file=<trace.ndjson> [--top=N] "
+      "       pdscli trace --file=<trace.ndjson> [--entries=N] [--top=N] "
       "[--json]\n"
+      "       pdscli trace critpath --file=<trace.ndjson> [--top=N] "
+      "[--max-traces=N] [--json]\n"
       "       pdscli trace check --file=<trace.ndjson>\n"
-      "       pdscli stats --file=<stats.ndjson> [--json|--csv]\n"
+      "       pdscli stats --file=<stats.ndjson> [--top=N] [--json|--csv]\n"
       "  common:       --seed=N --runs=N --trace=FILE "
       "[--trace-format=chrome]\n"
       "  pdd/pdr/mdr:  --stats=FILE [--stats-interval-ms=N]\n"
@@ -106,22 +207,22 @@ int usage() {
       "  pdr/mdr:      --grid=N --item-mb=N --redundancy=N --consumers=N\n"
       "                --sequential --contended\n"
       "  *-mobility:   --scenario=<student_center|classroom> --mobility=X\n"
-      "                --entries=N / --item-mb=N --minutes=N\n"
+      "                --minutes=X --entries=N (pdd) / --item-mb=N "
+      "--redundancy=N (pdr)\n"
       "  singlehop:    --mode=<raw|leaky|leaky_ack> --senders=N "
       "--messages=N\n");
   return 2;
 }
 
-// --trace=FILE support: an unbounded tracer attached to every run (cleared
-// between runs, so the file holds the final seed's trace), written on scope
-// exit as NDJSON or Chrome trace_event JSON.
+// --trace=FILE support: a tracer attached to every run (cleared between
+// runs, so the file holds the final seed's trace), written on scope exit as
+// NDJSON or Chrome trace_event JSON.
 class TraceSink {
  public:
   explicit TraceSink(const Flags& flags)
       : path_(flags.get("trace", "")),
         chrome_(flags.get("trace-format", "ndjson") == "chrome"),
-        tracer_(path_.empty() ? nullptr
-                              : std::make_unique<obs::Tracer>(0)) {}
+        tracer_(path_.empty() ? nullptr : std::make_unique<obs::Tracer>()) {}
 
   ~TraceSink() {
     if (!tracer_) return;
@@ -211,9 +312,9 @@ int run_pdd(const Flags& flags) {
     p.metadata_count = static_cast<std::size_t>(flags.num("entries", 5000));
     p.redundancy = static_cast<int>(flags.num("redundancy", 1));
     p.consumers = static_cast<std::size_t>(flags.num("consumers", 1));
-    p.sequential = flags.num("sequential", 0) != 0;
-    p.multi_round = flags.num("single-round", 0) == 0;
-    p.ack = flags.num("no-ack", 0) == 0;
+    p.sequential = flags.on("sequential");
+    p.multi_round = !flags.on("single-round");
+    p.ack = !flags.on("no-ack");
     p.seed = static_cast<std::uint64_t>(flags.num("seed", 1) + r);
     const wl::PddOutcome out = wl::run_pdd_grid(p);
     recall.add(out.recall);
@@ -242,8 +343,8 @@ int run_retrieval(const Flags& flags, wl::RetrievalMethod method) {
         static_cast<std::size_t>(flags.num("item-mb", 20)) * 1024 * 1024;
     p.redundancy = static_cast<int>(flags.num("redundancy", 1));
     p.consumers = static_cast<std::size_t>(flags.num("consumers", 1));
-    p.sequential = flags.num("sequential", 0) != 0;
-    p.contended_medium = flags.num("contended", 0) != 0;
+    p.sequential = flags.on("sequential");
+    p.contended_medium = flags.on("contended");
     p.method = method;
     p.seed = static_cast<std::uint64_t>(flags.num("seed", 1) + r);
     const wl::RetrievalOutcome out = wl::run_retrieval_grid(p);
@@ -358,8 +459,9 @@ struct TraceTalker {
 
 struct TraceStats {
   std::size_t events = 0;
-  // Ring-buffer overflow trailer ("trace"/"drops"): events the tracer could
-  // not keep. Non-zero means every other statistic is a lower bound.
+  // Drop trailer ("trace"/"drops") that ring-buffered tracers of older
+  // builds wrote: events the capture lacks. Non-zero means every other
+  // statistic is a lower bound.
   std::uint64_t dropped = 0;
   std::vector<TraceRoundRow> rounds;
   std::vector<TraceTalker> talkers;  // ranked by bytes desc, node asc
@@ -584,7 +686,7 @@ int run_trace_report(const Flags& flags) {
   if (trace.status != 0) return trace.status;
   const TraceStats stats = compute_trace_stats(trace.events);
   const double entries = flags.real("entries", 0.0);
-  if (flags.get("json", "") == "1") {
+  if (flags.on("json")) {
     print_trace_json(stats, entries, trace.path);
   } else {
     print_trace_text(stats, entries,
@@ -668,7 +770,7 @@ int run_trace_critpath(const Flags& flags) {
                         "[--top=N] [--max-traces=N] [--json]");
   if (trace.status != 0) return trace.status;
   const tools::CausalReport report = tools::analyze_causal(trace.events);
-  if (flags.get("json", "") == "1") {
+  if (flags.on("json")) {
     std::printf("%s\n",
                 tools::causal_report_json(
                     report,
@@ -839,9 +941,9 @@ int run_stats_report(const Flags& flags) {
     std::fprintf(stderr, "pdscli: %s: %s\n", path.c_str(), error.c_str());
     return 1;
   }
-  if (flags.get("csv", "") == "1") {
+  if (flags.on("csv")) {
     print_stats_csv(*series);
-  } else if (flags.get("json", "") == "1") {
+  } else if (flags.on("json")) {
     print_stats_json(*series, path);
   } else {
     print_stats_text(*series,
@@ -851,34 +953,59 @@ int run_stats_report(const Flags& flags) {
 }
 
 int run_main(int argc, char** argv) {
-  const Flags flags = parse(argc, argv);
-  std::string experiment = flags.get("experiment", "");
-  // `pdscli trace --file=...` — subcommand form.
-  if (argc > 1 && std::strcmp(argv[1], "trace") == 0) {
-    experiment = "trace";
-    if (argc > 2 && std::strcmp(argv[2], "critpath") == 0) {
-      return run_trace_critpath(flags);
+  // Leading words name a subcommand ("trace", "trace critpath", "trace
+  // check", "stats"); without them --experiment names the command.
+  int first_flag = 1;
+  std::string command;
+  while (first_flag < argc && std::strncmp(argv[first_flag], "--", 2) != 0) {
+    if (!command.empty()) command += ' ';
+    command += argv[first_flag++];
+  }
+  Flags flags;
+  for (int i = first_flag; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg.rfind("--", 0) != 0) {
+      return usage("unexpected argument \"" + arg + "\"");
     }
-    if (argc > 2 && std::strcmp(argv[2], "check") == 0) {
-      return run_check_trace(flags);
+    const std::size_t eq = arg.find('=');
+    if (eq == std::string::npos) {
+      flags.values[arg.substr(2)] = std::nullopt;
+    } else {
+      flags.values[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
     }
   }
-  // `pdscli stats --file=...` — flight-recorder subcommand form.
-  if (argc > 1 && std::strcmp(argv[1], "stats") == 0) {
-    return run_stats_report(flags);
+  if (command.empty()) {
+    const auto it = flags.values.find("experiment");
+    if (it != flags.values.end() && it->second) command = *it->second;
   }
-  if (experiment == "trace") return run_trace_report(flags);
-  if (experiment == "pdd") return run_pdd(flags);
-  if (experiment == "pdr") {
-    return run_retrieval(flags, wl::RetrievalMethod::kPdr);
+  if (!in_list(kCommands, command)) {
+    return usage(command.empty() ? "" : "unknown command \"" + command + "\"");
   }
-  if (experiment == "mdr") {
-    return run_retrieval(flags, wl::RetrievalMethod::kMdr);
+  for (const auto& [name, value] : flags.values) {
+    const FlagSpec* spec = std::find_if(
+        std::begin(kFlags), std::end(kFlags), [&](const FlagSpec& f) {
+          return name == f.name && in_list(f.commands, command);
+        });
+    if (spec == std::end(kFlags)) {
+      return usage("unknown flag --" + name + " for \"" + command + "\"");
+    }
+    const std::string want = check_value(*spec, value);
+    if (!want.empty()) {
+      return usage("--" + name + (value ? "=" + *value : "") + ": expected " +
+                   want);
+    }
   }
-  if (experiment == "pdd-mobility") return run_pdd_mobility(flags);
-  if (experiment == "pdr-mobility") return run_pdr_mobility(flags);
-  if (experiment == "singlehop") return run_singlehop(flags);
-  return usage();
+
+  if (command == "trace") return run_trace_report(flags);
+  if (command == "trace critpath") return run_trace_critpath(flags);
+  if (command == "trace check") return run_check_trace(flags);
+  if (command == "stats") return run_stats_report(flags);
+  if (command == "pdd") return run_pdd(flags);
+  if (command == "pdr") return run_retrieval(flags, wl::RetrievalMethod::kPdr);
+  if (command == "mdr") return run_retrieval(flags, wl::RetrievalMethod::kMdr);
+  if (command == "pdd-mobility") return run_pdd_mobility(flags);
+  if (command == "pdr-mobility") return run_pdr_mobility(flags);
+  return run_singlehop(flags);
 }
 
 }  // namespace

@@ -107,9 +107,11 @@ inline constexpr std::array<EventSchema, 51> kEventCatalog = {{
     // span whose payload went out, so >1 xmit per span = retransmissions.
     // Extra keys: "us" (airtime), "node" is the transmitting hop.
     {"causal", "xmit", "i", keys("trace", "span", "round", "bytes"), keys()},
-    // -- Tracer self-reporting -----------------------------------------------
-    // Synthetic trailer appended by Tracer::write_ndjson when the ring
-    // buffer evicted events; analyzers treat its presence as truncation.
+    // -- Truncated captures ---------------------------------------------------
+    // Trailer that ring-buffered tracers of older builds appended when they
+    // evicted events. Today's tracer keeps every event and never writes it,
+    // but a capture read from disk may carry one; analyzers treat its
+    // presence as truncation.
     {"trace", "drops", "i", keys("count"), keys()},
     // -- Microbenchmark-only events ------------------------------------------
     // bench/micro_primitives measures the PDS_TRACE_* macro overhead with a

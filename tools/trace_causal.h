@@ -2,11 +2,11 @@
 //
 // The protocol layer stamps every traced query/response with a TraceContext
 // and emits `causal` events (root/round/tx/recv/deliver/suppress/overhear
-// plus per-frame xmit records) into each node's ring buffer. This library
-// stitches those per-node streams back into one span DAG per trace, walks
-// the parent chain from the terminal delivery to extract the critical path,
-// and attributes per-item cost (bytes on air, airtime, retransmissions,
-// overhear hits, duplicate suppressions). Header-only; consumed by
+// plus per-frame xmit records) into the tracer. This library stitches those
+// per-node events back into one span DAG per trace, walks the parent chain
+// from the terminal delivery to extract the critical path, and attributes
+// per-item cost (bytes on air, airtime, retransmissions, overhear hits,
+// duplicate suppressions). Header-only; consumed by
 // `pdscli trace critpath`, the causal bench sections and the causal tests.
 #pragma once
 
@@ -87,7 +87,7 @@ struct TraceAnalysis {
 
 struct CausalReport {
   std::vector<TraceAnalysis> traces;  // sorted by trace_id
-  std::uint64_t dropped_events = 0;   // from the tracer's trace/drops trailer
+  std::uint64_t dropped_events = 0;   // from a trace/drops trailer
 
   std::size_t total_orphans = 0;
   std::size_t traces_with_path = 0;
@@ -134,8 +134,8 @@ inline std::string classify_edge(const CausalSpan& parent,
 
 // Groups `causal` events by trace id and reconstructs each trace's span DAG,
 // critical path and cost attribution. Non-causal events are ignored except
-// the tracer's `trace/drops` trailer, which is surfaced so callers can
-// refuse to analyze incomplete rings.
+// a `trace/drops` trailer (written by ring-buffered tracers of older
+// builds), which is surfaced so callers can refuse incomplete captures.
 inline CausalReport analyze_causal(const std::vector<ParsedEvent>& events) {
   CausalReport report;
   std::map<std::uint64_t, TraceAnalysis> by_trace;
