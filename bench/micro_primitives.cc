@@ -18,7 +18,6 @@
 #include <chrono>
 #include <cstring>
 
-#include "common/arena.h"
 #include "common/bytes.h"
 #include "common/rng.h"
 #include "parallel_runs.h"
@@ -302,42 +301,6 @@ void BM_SchedulerHoldHeap(benchmark::State& state) {
   scheduler_hold(state, sim::SchedulerKind::kHeap);
 }
 BENCHMARK(BM_SchedulerHoldHeap)->Arg(1024)->Arg(16384)->Arg(65536);
-
-// Arena pools (common/arena.h): pooled shared payload allocation vs
-// make_shared, and recycled vector buffers vs fresh ones.
-struct PooledBlob {
-  std::array<std::byte, 256> bytes;
-};
-
-void BM_MakeSharedPayload(benchmark::State& state) {
-  for (auto _ : state) {
-    auto p = std::make_shared<PooledBlob>();
-    benchmark::DoNotOptimize(p.get());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_MakeSharedPayload);
-
-void BM_MakePooledPayload(benchmark::State& state) {
-  for (auto _ : state) {
-    auto p = make_pooled<PooledBlob>();
-    benchmark::DoNotOptimize(p.get());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_MakePooledPayload);
-
-void BM_VectorPoolRoundTrip(benchmark::State& state) {
-  VectorPool<std::uint32_t> pool;
-  for (auto _ : state) {
-    std::vector<std::uint32_t> v = pool.acquire();
-    for (std::uint32_t i = 0; i < 64; ++i) v.push_back(i);
-    benchmark::DoNotOptimize(v.data());
-    pool.release(std::move(v));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_VectorPoolRoundTrip);
 
 // One detached PDS_TRACE_* site, as production runs execute it: the tracer
 // pointer is read through a Simulator whose address has escaped, and memory

@@ -70,8 +70,8 @@ double now_s() {
 // timer of a delivered frame. Nearly every timer dies before firing, so a
 // lazy-deletion scheduler carries the corpses until their timestamps
 // surface; O(1) cancellation does not. Actions carry an 80-byte payload
-// like real protocol continuations, so InlineFunction's inline path (not
-// a trivial empty lambda) is what gets measured.
+// like real protocol continuations, so moving a realistically sized
+// InlineFunction (not a trivial empty lambda) is what gets measured.
 double run_hold_once(sim::SchedulerKind kind, std::size_t pending,
                      std::uint64_t ops) {
   sim::EventQueue q(kind);

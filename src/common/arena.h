@@ -1,27 +1,16 @@
-// Object-recycling pools for the simulator's steady-state hot paths.
+// Slab storage for the nodes of one node-based container: the data store's
+// metadata records (DESIGN.md §19).
 //
-// A warm simulation allocates in three places: scheduled-event closures
-// (fixed by InlineFunction's inline storage), per-transmission receiver
-// lists, and per-frame payload objects in the net layer. The pools here
-// retire the last two: freed storage parks in a free list and is handed back
-// on the next acquire, so steady-state simulation does zero per-event heap
-// traffic once the pools are warm.
-//
-// Determinism: recycling changes *which addresses* come back, never any
-// simulated outcome — no code orders or hashes by pointer (pdslint's
+// Determinism: recycling a slot changes *which addresses* come back, never
+// any simulated outcome — no code orders or hashes by pointer (pdslint's
 // pointer-order rule guards that), so reuse is invisible to traces, stats
 // and RNG draws.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
-#include <cstdint>
 #include <cstring>
-#include <memory>
 #include <new>
-#include <unordered_map>
-#include <utility>
-#include <vector>
 
 #include "common/assert.h"
 
@@ -38,170 +27,6 @@
 #endif
 
 namespace pds {
-
-// Pool accounting the flight recorder samples (DESIGN.md §15): lifetime
-// counters plus a high-water mark. Counters survive reset()/release_all() —
-// the recorder wants "how hard was this pool worked over the whole run",
-// not "since the last trim".
-struct PoolStats {
-  std::uint64_t acquires = 0;   // total acquire()/allocate() calls
-  std::uint64_t reuses = 0;     // calls served from the free list
-  std::size_t high_water = 0;   // peak parked entries (or bytes for BlockPool)
-};
-
-// Recycles std::vector buffers: acquire() returns an empty vector that keeps
-// the capacity it had when released, so a stable working set stops touching
-// the allocator entirely.
-template <typename T>
-class VectorPool {
- public:
-  explicit VectorPool(std::size_t max_parked = 64) : max_parked_(max_parked) {}
-
-  [[nodiscard]] std::vector<T> acquire() {
-    ++stats_.acquires;
-    if (parked_.empty()) return {};
-    ++stats_.reuses;
-    std::vector<T> v = std::move(parked_.back());
-    parked_.pop_back();
-    return v;
-  }
-
-  void release(std::vector<T>&& v) {
-    v.clear();
-    if (parked_.size() < max_parked_ && v.capacity() > 0) {
-      parked_.push_back(std::move(v));
-      stats_.high_water = std::max(stats_.high_water, parked_.size());
-    }
-  }
-
-  // Frees every parked buffer; lifetime stats are preserved.
-  void reset() { parked_.clear(); }
-
-  [[nodiscard]] std::size_t parked() const { return parked_.size(); }
-  [[nodiscard]] const PoolStats& stats() const { return stats_; }
-
- private:
-  std::vector<std::vector<T>> parked_;
-  std::size_t max_parked_;
-  PoolStats stats_;
-};
-
-// Size-class keyed free lists of raw blocks, one pool per thread. Backs
-// PoolAllocator: allocate_shared'd payload objects (control block + object
-// in one cell) come from here, so frame payload churn stops hitting
-// malloc/free once each size class is warm. Thread-local by design: worker
-// threads in bench::run_indexed each own an independent pool, so no locks
-// and no cross-thread traffic (TSan-clean).
-class BlockPool {
- public:
-  static BlockPool& local() {
-    thread_local BlockPool pool;
-    return pool;
-  }
-
-  void* allocate(std::size_t bytes) {
-    ++stats_.acquires;
-    auto it = free_.find(bytes);
-    if (it != free_.end() && !it->second.empty()) {
-      ++stats_.reuses;
-      parked_bytes_ -= bytes;
-      void* p = it->second.back();
-      it->second.pop_back();
-      return p;
-    }
-    return ::operator new(bytes);
-  }
-
-  void deallocate(void* p, std::size_t bytes) {
-    if (bytes > kMaxBlockBytes) {
-      ::operator delete(p);
-      return;
-    }
-    std::vector<void*>& list = free_[bytes];
-    if (list.size() >= kMaxPerClass) {
-      ::operator delete(p);
-      return;
-    }
-    list.push_back(p);
-    parked_bytes_ += bytes;
-    stats_.high_water = std::max(stats_.high_water, parked_bytes_);
-  }
-
-  // Returns every parked block to the system; lifetime stats survive. The
-  // flight recorder reads parked_bytes() as a wall-kind column (the pool is
-  // thread-local, so its occupancy depends on which worker thread — and how
-  // many prior seeds — warmed it).
-  void release_all() {
-    for (auto& [bytes, list] : free_) {
-      for (void* p : list) ::operator delete(p);
-      list.clear();
-    }
-    parked_bytes_ = 0;
-  }
-
-  [[nodiscard]] std::size_t parked_bytes() const { return parked_bytes_; }
-  [[nodiscard]] const PoolStats& stats() const { return stats_; }
-
-  ~BlockPool() {
-    // Lookup-only map: never iterated for output (the parked blocks hold no
-    // simulation state), so hash order is immaterial.
-    for (auto& [bytes, list] : free_) {
-      for (void* p : list) ::operator delete(p);
-    }
-  }
-
-  BlockPool(const BlockPool&) = delete;
-  BlockPool& operator=(const BlockPool&) = delete;
-
- private:
-  BlockPool() = default;
-
-  static constexpr std::size_t kMaxBlockBytes = 1 << 16;
-  static constexpr std::size_t kMaxPerClass = 4096;
-
-  std::unordered_map<std::size_t, std::vector<void*>> free_;
-  std::size_t parked_bytes_ = 0;
-  PoolStats stats_;
-};
-
-// Standard allocator over BlockPool::local(); drop-in for allocate_shared.
-// Only single-object, normally-aligned allocations are pooled — array or
-// over-aligned requests fall through to global new.
-template <typename T>
-struct PoolAllocator {
-  using value_type = T;
-
-  PoolAllocator() = default;
-  template <typename U>
-  PoolAllocator(const PoolAllocator<U>&) {}  // NOLINT
-
-  [[nodiscard]] T* allocate(std::size_t n) {
-    if (n == 1 && alignof(T) <= alignof(std::max_align_t)) {
-      return static_cast<T*>(BlockPool::local().allocate(sizeof(T)));
-    }
-    return static_cast<T*>(::operator new(n * sizeof(T)));
-  }
-
-  void deallocate(T* p, std::size_t n) {
-    if (n == 1 && alignof(T) <= alignof(std::max_align_t)) {
-      BlockPool::local().deallocate(p, sizeof(T));
-      return;
-    }
-    ::operator delete(p);
-  }
-
-  friend bool operator==(const PoolAllocator&, const PoolAllocator&) {
-    return true;
-  }
-};
-
-// allocate_shared through the thread-local block pool: one pooled cell holds
-// control block + object, exactly like make_shared but recycled.
-template <typename T, typename... Args>
-[[nodiscard]] std::shared_ptr<T> make_pooled(Args&&... args) {
-  return std::allocate_shared<T>(PoolAllocator<T>{},
-                                 std::forward<Args>(args)...);
-}
 
 // Fixed-size slots carved from a few slabs, for the nodes of one node-based
 // container (DESIGN.md §19). Every PDS node caches thousands of metadata
@@ -222,8 +47,7 @@ template <typename T, typename... Args>
 //    so reading a record through a dangling pointer is reported.
 //
 // Slots are aligned for pointers, which is all a container node needs. Not
-// thread-safe: one pool serves one container. Addresses never reach an
-// outcome, as for the pools above.
+// thread-safe: one pool serves one container.
 class SlabPool {
  public:
   static constexpr std::size_t kMaxSlabSlots = 256;

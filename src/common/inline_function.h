@@ -1,22 +1,24 @@
-// Move-only callable wrapper with large inline storage.
+// Move-only callable wrapper whose callable always lives in a fixed inline
+// buffer.
 //
 // std::function's small-buffer optimization tops out around two pointers on
 // libstdc++, so the simulator's event closures — a radio completion handler
 // captures ~80 bytes (receiver list, frame, sequence number), a mobility
-// replay step ~40 — heap-allocate on every schedule() call. At city scale
-// that is one malloc/free pair per simulated event. InlineFunction raises the
-// inline capacity so every closure the hot paths create stays in-place; only
-// pathological captures fall back to the heap.
+// replay step ~40 — would heap-allocate on every schedule() call. An
+// InlineFunction accepts only callables that fit its buffer and move without
+// throwing; anything else does not convert (a compile error at the call
+// site), so holding a closure never allocates. A capture too large for the
+// buffer moves its bulk behind a pointer it owns, as FaultInjector::install
+// does with its shared FaultEvent.
 //
 // Differences from std::function, on purpose:
-//   * move-only (no copy): closures may own pooled buffers;
+//   * move-only (no copy);
 //   * no target_type()/target() introspection;
 //   * invoking an empty InlineFunction is a programming error (asserted),
 //     not std::bad_function_call.
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -30,14 +32,34 @@ class InlineFunction;
 
 template <typename R, typename... Args, std::size_t Capacity>
 class InlineFunction<R(Args...), Capacity> {
+  // The storage rule: a callable converts only when it fits the buffer and
+  // moves without throwing, since the wrapper's own move is noexcept.
+  template <typename D>
+  static constexpr bool kFitsInline =
+      sizeof(D) <= Capacity && alignof(D) <= alignof(std::max_align_t) &&
+      std::is_nothrow_move_constructible_v<D>;
+
  public:
   InlineFunction() = default;
 
-  template <typename F,
-            typename = std::enable_if_t<!std::is_same_v<
-                std::decay_t<F>, InlineFunction>>>
+  // The first clause keeps the wrapper's own moves and copies away from this
+  // template, so checking the rule never asks whether InlineFunction itself
+  // moves without throwing.
+  template <typename F>
+    requires(!std::is_same_v<std::decay_t<F>, InlineFunction>) &&
+            std::is_invocable_r_v<R, std::decay_t<F>&, Args...> &&
+            kFitsInline<std::decay_t<F>>
   InlineFunction(F&& f) {  // NOLINT(google-explicit-constructor)
-    assign(std::forward<F>(f));
+    using D = std::decay_t<F>;
+    ::new (storage()) D(std::forward<F>(f));
+    invoke_ = [](void* s, Args&&... args) -> R {
+      return (*std::launder(static_cast<D*>(s)))(std::forward<Args>(args)...);
+    };
+    manage_ = [](Op op, void* self, void* to) {
+      D* src = std::launder(static_cast<D*>(self));
+      if (op == Op::kMove) ::new (to) D(std::move(*src));
+      src->~D();
+    };
   }
 
   InlineFunction(InlineFunction&& other) noexcept { move_from(other); }
@@ -47,15 +69,6 @@ class InlineFunction<R(Args...), Capacity> {
       reset();
       move_from(other);
     }
-    return *this;
-  }
-
-  template <typename F,
-            typename = std::enable_if_t<!std::is_same_v<
-                std::decay_t<F>, InlineFunction>>>
-  InlineFunction& operator=(F&& f) {
-    reset();
-    assign(std::forward<F>(f));
     return *this;
   }
 
@@ -79,65 +92,19 @@ class InlineFunction<R(Args...), Capacity> {
     invoke_ = nullptr;
   }
 
-  // True when the wrapped callable lives in the inline buffer (diagnostic;
-  // the arena micro-benchmarks assert hot-path closures never spill).
-  [[nodiscard]] bool is_inline() const {
-    return invoke_ != nullptr && !heap_;
-  }
-
   static constexpr std::size_t capacity() { return Capacity; }
 
  private:
   enum class Op { kDestroy, kMove };
 
   using Invoke = R (*)(void*, Args&&...);
-  // kDestroy: destroy the callable at `self` (and free it when heap-backed).
+  // kDestroy: destroy the callable at `self`.
   // kMove: move-construct from `self` into `to` and destroy `self`.
   using Manage = void (*)(Op, void* self, void* to);
-
-  template <typename F>
-  void assign(F&& f) {
-    using D = std::decay_t<F>;
-    static_assert(std::is_invocable_r_v<R, D&, Args...>);
-    if constexpr (sizeof(D) <= Capacity &&
-                  alignof(D) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<D>) {
-      ::new (storage()) D(std::forward<F>(f));
-      heap_ = false;
-      invoke_ = [](void* s, Args&&... args) -> R {
-        return (*std::launder(static_cast<D*>(s)))(
-            std::forward<Args>(args)...);
-      };
-      manage_ = [](Op op, void* self, void* to) {
-        D* src = std::launder(static_cast<D*>(self));
-        if (op == Op::kMove) ::new (to) D(std::move(*src));
-        src->~D();
-      };
-    } else {
-      // Oversized or over-aligned callable: single heap cell, pointer stored
-      // inline. The pointer itself moves trivially.
-      D* cell = new D(std::forward<F>(f));
-      ::new (storage()) D*(cell);
-      heap_ = true;
-      invoke_ = [](void* s, Args&&... args) -> R {
-        return (**std::launder(static_cast<D**>(s)))(
-            std::forward<Args>(args)...);
-      };
-      manage_ = [](Op op, void* self, void* to) {
-        D** src = std::launder(static_cast<D**>(self));
-        if (op == Op::kMove) {
-          ::new (to) D*(*src);
-        } else {
-          delete *src;
-        }
-      };
-    }
-  }
 
   void move_from(InlineFunction& other) noexcept {
     invoke_ = other.invoke_;
     manage_ = other.manage_;
-    heap_ = other.heap_;
     if (other.manage_ != nullptr) {
       other.manage_(Op::kMove, other.storage(), storage());
     }
@@ -150,7 +117,6 @@ class InlineFunction<R(Args...), Capacity> {
   alignas(std::max_align_t) std::byte buf_[Capacity];
   Invoke invoke_ = nullptr;
   Manage manage_ = nullptr;
-  bool heap_ = false;
 };
 
 }  // namespace pds

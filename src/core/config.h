@@ -62,16 +62,13 @@ struct PdsConfig {
   double bloom_fpp = 0.01;
 
   // -- Adaptive round spacing (DESIGN.md §16) -------------------------------
-  // When enabled, every re-flood waits at least the base spacing so
-  // in-flight responses land and the next filter excludes them, instead of
-  // a back-to-back re-flood that re-collects stragglers; a round that
-  // contributed little novelty (new/total below the threshold) backs off
-  // exponentially up to the max. Off by default: round timing is
-  // byte-identical to the paper's schedule.
+  // When enabled, every re-flood waits at least a base spacing so in-flight
+  // responses land and the next filter excludes them, instead of a
+  // back-to-back re-flood that re-collects stragglers; a round that
+  // contributed little novelty backs off exponentially (constants in
+  // core/discovery.cc). Off by default: round timing is byte-identical to
+  // the paper's schedule.
   bool adaptive_round_spacing = false;
-  SimTime adaptive_spacing_base = SimTime::millis(250);
-  SimTime adaptive_spacing_max = SimTime::seconds(2.0);
-  double adaptive_novelty_threshold = 0.05;
 
   // -- Payload shaping ------------------------------------------------------
   // Metadata entries per response message; ~45 × 30 B entries keeps response

@@ -9,6 +9,17 @@
 
 namespace pds::core {
 
+namespace {
+
+// Adaptive round spacing (DESIGN.md §16): the wait before every re-flood,
+// the ceiling its exponential backoff stops at, and the new/total ratio
+// below which a round counts as contributing little novelty.
+constexpr SimTime kAdaptiveSpacingBase = SimTime::millis(250);
+constexpr SimTime kAdaptiveSpacingMax = SimTime::seconds(2.0);
+constexpr double kAdaptiveNoveltyThreshold = 0.05;
+
+}  // namespace
+
 DiscoverySession::DiscoverySession(NodeContext& ctx, net::ContentKind kind,
                                    Filter filter, Callback done)
     : ctx_(ctx),
@@ -241,10 +252,10 @@ void DiscoverySession::schedule_next_round(double novelty) {
   // — the re-flood excludes them instead of re-collecting them, and the
   // round after a now-silent round can ship a no-op delta frame. Rounds
   // that contributed little novelty back off exponentially up to the max.
-  spacing_ = novelty >= ctx_.config.adaptive_novelty_threshold ||
-                     spacing_ == SimTime::zero()
-                 ? ctx_.config.adaptive_spacing_base
-                 : std::min(spacing_ * 2.0, ctx_.config.adaptive_spacing_max);
+  spacing_ =
+      novelty >= kAdaptiveNoveltyThreshold || spacing_ == SimTime::zero()
+          ? kAdaptiveSpacingBase
+          : std::min(spacing_ * 2.0, kAdaptiveSpacingMax);
   PDS_TRACE_INSTANT(ctx_.sim.tracer(), ctx_.now(), ctx_.self, "pdd",
                     "round_backoff", {"round", rounds_},
                     {"delay_us", spacing_.as_micros()});

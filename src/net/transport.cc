@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <memory>
 
-#include "common/arena.h"
 #include "common/assert.h"
 #include "common/hash.h"
 #include "obs/profiler.h"
@@ -168,11 +167,11 @@ void Transport::transmit(const Packet& packet, bool track_reliably) {
   if (packet.count == 1 && packet.receivers == packet.whole->receivers) {
     payload = packet.whole;
   } else if (packet.count == 1) {
-    auto copy = make_pooled<Message>(*packet.whole);
+    auto copy = std::make_shared<Message>(*packet.whole);
     copy->receivers = packet.receivers;
     payload = std::move(copy);
   } else {
-    auto frag = make_pooled<FragmentPayload>();
+    auto frag = std::make_shared<FragmentPayload>();
     frag->whole = packet.whole;
     frag->token = message_token(*packet.whole);
     frag->index = packet.index;
@@ -263,7 +262,7 @@ void Transport::flush_acks() {
   ack_flush_scheduled_ = false;
   std::size_t i = 0;
   while (i < ack_batch_.size()) {
-    auto ack = make_pooled<Message>();
+    auto ack = std::make_shared<Message>();
     ack->type = MessageType::kAck;
     ack->acker = self_;
     ack->sender = self_;
@@ -375,7 +374,7 @@ void Transport::check_repair(std::uint64_t msg_token) {
   }
   ++r.repair_attempts;
   ++stats_.repair_requests_sent;
-  auto request = make_pooled<Message>();
+  auto request = std::make_shared<Message>();
   request->type = MessageType::kRepair;
   request->sender = self_;
   request->acker = self_;

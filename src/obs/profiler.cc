@@ -69,8 +69,7 @@ Profiler::Node* Profiler::intern(Node* parent, const char* name) {
   return node;
 }
 
-Profiler::Scope::Scope(Profiler* profiler, const char* name) {
-  if (profiler == nullptr) return;
+void Profiler::Scope::enter(Profiler* profiler, const char* name) {
   profiler_ = profiler;
   parent_ = t_cursor.profiler == profiler ? t_cursor.node : nullptr;
   node_ = profiler->intern(parent_, name);
@@ -78,8 +77,7 @@ Profiler::Scope::Scope(Profiler* profiler, const char* name) {
   start_ns_ = now_ns();
 }
 
-Profiler::Scope::~Scope() {
-  if (profiler_ == nullptr) return;
+void Profiler::Scope::leave() {
   const std::int64_t elapsed = now_ns() - start_ns_;
   node_->ns.fetch_add(elapsed, std::memory_order_relaxed);
   node_->calls.fetch_add(1, std::memory_order_relaxed);

@@ -43,16 +43,24 @@ class Profiler {
   // One scope path's accumulator (defined in profiler.cc).
   struct Node;
 
-  // RAII scope. Inert when `profiler` is null.
+  // RAII scope. Inert when `profiler` is null: the null test is inline, so
+  // a detached scope makes no call; the attached path stays out of line.
   class Scope {
    public:
-    Scope(Profiler* profiler, const char* name);
-    ~Scope();
+    Scope(Profiler* profiler, const char* name) {
+      if (profiler != nullptr) enter(profiler, name);
+    }
+    ~Scope() {
+      if (profiler_ != nullptr) leave();
+    }
 
     Scope(const Scope&) = delete;
     Scope& operator=(const Scope&) = delete;
 
    private:
+    void enter(Profiler* profiler, const char* name);
+    void leave();
+
     Profiler* profiler_ = nullptr;
     Node* node_ = nullptr;
     Node* parent_ = nullptr;

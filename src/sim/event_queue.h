@@ -39,8 +39,9 @@ enum class SchedulerKind {
 
 class EventQueue {
  public:
-  // Inline capacity covers every closure the hot paths schedule (radio
-  // completion ~80 bytes, mobility replay ~40); see common/inline_function.h.
+  // Every scheduled closure lives in this inline capacity (radio completion
+  // ~80 bytes, mobility replay ~40); one that does not fit does not compile.
+  // See common/inline_function.h.
   using Action = InlineFunction<void(), 104>;
 
   // Token that allows cancelling a scheduled event.

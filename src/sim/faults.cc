@@ -1,5 +1,7 @@
 #include "sim/faults.h"
 
+#include <memory>
+
 #include "common/assert.h"
 #include "obs/trace.h"
 
@@ -99,7 +101,10 @@ FaultInjector::FaultInjector(Simulator& sim, RadioMedium& medium, Hooks hooks)
 
 void FaultInjector::install(const FaultSchedule& schedule) {
   for (const FaultEvent& event : schedule.events) {
-    sim_.schedule_at(event.at, [this, event] { apply(event); });
+    // A FaultEvent is larger than a scheduled closure's inline buffer, so
+    // the closure holds it through a shared pointer.
+    auto shared = std::make_shared<const FaultEvent>(event);
+    sim_.schedule_at(event.at, [this, shared] { apply(*shared); });
   }
 }
 

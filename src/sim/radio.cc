@@ -465,7 +465,7 @@ void RadioMedium::start_transmission(Index idx) {
   // Merge per-shard partials in shard order: shards cover contiguous,
   // ascending candidate ranges, so concatenation reproduces the serial
   // receiver order exactly.
-  std::vector<Index> receivers = receiver_pool_.acquire();
+  std::vector<Index> receivers;
   for (std::size_t s = 0; s < shard_receivers_.size(); ++s) {
     std::vector<Index>& part = shard_receivers_[s];
     receivers.insert(receivers.end(), part.begin(), part.end());
@@ -477,18 +477,12 @@ void RadioMedium::start_transmission(Index idx) {
   // One completion event per transmission, iterating receivers in candidate
   // (registration) order — the same per-receiver sequence the historical
   // per-receiver events produced, since those carried consecutive sequence
-  // numbers at the identical timestamp. The receiver list returns to the
-  // pool once delivered.
+  // numbers at the identical timestamp.
   if (!receivers.empty()) {
-    sim_.schedule_at(
-        tx_end_[idx],
-        [this, recv = std::move(receivers), fr = std::move(frame),
-         tx_seq]() mutable {
-          for (Index ridx : recv) finish_reception(ridx, tx_seq, fr);
-          receiver_pool_.release(std::move(recv));
-        });
-  } else {
-    receiver_pool_.release(std::move(receivers));
+    sim_.schedule_at(tx_end_[idx], [this, recv = std::move(receivers),
+                                    fr = std::move(frame), tx_seq] {
+      for (Index ridx : recv) finish_reception(ridx, tx_seq, fr);
+    });
   }
 
   sim_.schedule_at(tx_end_[idx], [this, idx] { finish_transmission(idx); });

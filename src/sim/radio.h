@@ -28,7 +28,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/ring_queue.h"
 #include "common/rng.h"
 #include "common/types.h"
@@ -262,15 +261,6 @@ class RadioMedium {
   [[nodiscard]] TxCellOccupancy tx_cell_occupancy() const;
   // Total OS send-buffer backlog across all nodes (bytes).
   [[nodiscard]] std::size_t total_os_backlog_bytes() const;
-  // Receiver-list vectors parked in the recycling pool. Per-run state used
-  // identically by the serial and sharded paths, so it samples as a
-  // deterministic sim column.
-  [[nodiscard]] std::size_t receiver_pool_parked() const {
-    return receiver_pool_.parked();
-  }
-  [[nodiscard]] const PoolStats& receiver_pool_stats() const {
-    return receiver_pool_.stats();
-  }
 
  private:
   // Dense registration index into `states_`; doubles as the deterministic
@@ -414,9 +404,6 @@ class RadioMedium {
   // Per-shard partials, merged in shard order after every sharded phase.
   std::vector<std::vector<Index>> shard_receivers_;
   std::vector<std::uint64_t> shard_half_duplex_;
-  // Recycles the merged receiver list each transmission carries into its
-  // completion event.
-  VectorPool<Index> receiver_pool_;
 
   // Scripted per-pair loss overrides, keyed by pair_key (symmetric).
   std::unordered_map<std::uint64_t, double> pair_loss_;

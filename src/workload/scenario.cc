@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/arena.h"
 #include "common/assert.h"
 #include "obs/timeseries.h"
 
@@ -43,8 +42,7 @@ void Scenario::attach_sampler(obs::TimeSeries* sampler) {
     int queue_len, ring_live, overflow_depth, slot_pool, events;
     int active_tx, tx_cells, max_cell_tx, air_us, radio_bytes, os_backlog;
     int inflight, send_queue, pending, reassembly, bucket_backlog;
-    int store_meta, store_items, chunk_bytes, lqt_entries, bloom_fill;
-    int rx_pool, block_pool, rss;
+    int store_meta, store_items, chunk_bytes, lqt_entries, bloom_fill, rss;
   };
   obs::TimeSeries& ts = *sampler;
   const Cols c{
@@ -69,8 +67,6 @@ void Scenario::attach_sampler(obs::TimeSeries* sampler) {
       PDS_TS_COLUMN(ts, "store.chunk_bytes"),
       PDS_TS_COLUMN(ts, "lqt.entries"),
       PDS_TS_COLUMN(ts, "lqt.bloom_fill_max"),
-      PDS_TS_COLUMN(ts, "arena.rx_pool_parked"),
-      PDS_TS_COLUMN(ts, "arena.block_pool_bytes", obs::TimeSeries::Kind::kWall),
       PDS_TS_COLUMN(ts, "rss.peak_mb", obs::TimeSeries::Kind::kWall),
   };
 
@@ -120,13 +116,7 @@ void Scenario::attach_sampler(obs::TimeSeries* sampler) {
     out.set(c.chunk_bytes, chunk_bytes);
     out.set(c.lqt_entries, lqt_entries);
     out.set(c.bloom_fill, bloom_max);
-
-    out.set(c.rx_pool, static_cast<double>(medium_.receiver_pool_parked()));
-    // Wall-kind columns: thread/host facts, excluded from the deterministic
-    // projection (the thread-local block pool depends on which worker thread
-    // runs this seed and how many seeds warmed it before).
-    out.set(c.block_pool,
-            static_cast<double>(BlockPool::local().parked_bytes()));
+    // Wall-kind: a host fact, excluded from the deterministic projection.
     out.set(c.rss, obs::peak_rss_mb());
   });
 }

@@ -1,15 +1,21 @@
 // Unit tests for src/common: strong ids, sim time, byte serialization,
-// hashing and deterministic RNG.
+// hashing, deterministic RNG and the scheduler's closure wrapper.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstddef>
 #include <limits>
+#include <memory>
+#include <type_traits>
 #include <unordered_set>
 
 #include "common/bytes.h"
 #include "common/hash.h"
+#include "common/inline_function.h"
 #include "common/rng.h"
 #include "common/sim_time.h"
 #include "common/types.h"
+#include "sim/event_queue.h"
 
 namespace pds {
 namespace {
@@ -289,6 +295,81 @@ TEST(Rng, PickAndShuffle) {
   rng.shuffle(shuffled);
   std::sort(shuffled.begin(), shuffled.end());
   EXPECT_EQ(shuffled, v);
+}
+
+// -- InlineFunction ----------------------------------------------------------
+
+using Action = sim::EventQueue::Action;
+
+// A closure of exactly `Bytes` bytes.
+template <std::size_t Bytes>
+auto closure_of_size() {
+  return [pad = std::array<std::byte, Bytes>{}] { (void)pad; };
+}
+
+struct ThrowingMove {
+  ThrowingMove() = default;
+  ThrowingMove(ThrowingMove&&) noexcept(false) {}
+};
+
+TEST(InlineFunction, StoresOnlyClosuresThatFitAndMoveWithoutThrowing) {
+  using Fits = decltype(closure_of_size<Action::capacity()>());
+  using TooBig = decltype(closure_of_size<Action::capacity() + 1>());
+  auto throwing = [t = ThrowingMove{}] { (void)t; };
+  using Throwing = decltype(throwing);
+
+  static_assert(Action::capacity() == 104);
+  static_assert(sizeof(Fits) == 104 && sizeof(TooBig) == 105);
+  static_assert(std::is_convertible_v<Fits, Action>);
+  static_assert(!std::is_constructible_v<Action, TooBig>);
+  static_assert(sizeof(Throwing) <= Action::capacity());
+  static_assert(!std::is_nothrow_move_constructible_v<Throwing>);
+  static_assert(!std::is_constructible_v<Action, Throwing>);
+
+  int calls = 0;
+  Action a = [&calls, pad = std::array<std::byte, 96>{}] {
+    (void)pad;
+    ++calls;
+  };
+  a();
+  EXPECT_EQ(calls, 1);
+}
+
+// A shared_ptr whose deleter counts how often it frees its object.
+std::shared_ptr<int> counted(int value, int& releases) {
+  return std::shared_ptr<int>(new int(value), [&releases](int* p) {
+    ++releases;
+    delete p;
+  });
+}
+
+TEST(InlineFunction, CapturedSharedPtrSurvivesMovesAndIsReleasedOnce) {
+  int releases = 0;
+  int seen = 0;
+  {
+    Action a = [p = counted(7, releases), &seen] { seen = *p; };
+    Action b = std::move(a);
+    Action c;
+    c = std::move(b);
+    EXPECT_FALSE(a);  // NOLINT(bugprone-use-after-move)
+    EXPECT_FALSE(b);  // NOLINT(bugprone-use-after-move)
+    ASSERT_TRUE(c);
+    c();
+    EXPECT_EQ(seen, 7);
+    EXPECT_EQ(releases, 0);
+    c.reset();
+    EXPECT_FALSE(c);
+    EXPECT_EQ(releases, 1);
+  }
+  EXPECT_EQ(releases, 1);  // the emptied wrappers free nothing more
+
+  releases = 0;
+  {
+    Action a = [p = counted(8, releases)] { (void)p; };
+    Action b = std::move(a);
+    EXPECT_EQ(releases, 0);
+  }
+  EXPECT_EQ(releases, 1);
 }
 
 }  // namespace

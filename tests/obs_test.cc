@@ -11,7 +11,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/arena.h"
 #include "obs/profiler.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
@@ -383,84 +382,6 @@ TEST(Profiler, ProfileJsonLineRoundTripsThroughStatsAnalysis) {
   EXPECT_EQ(parsed->profile[1].path, "sim/pdd");
   EXPECT_EQ(parsed->profile[1].depth, 1);
   EXPECT_GE(parsed->profile[0].ns, parsed->profile[1].ns);
-}
-
-// Satellite: common/arena.h pool accounting. High-water marks and reuse
-// counts must round-trip through a sampler column and survive pool reset —
-// the flight recorder reads these live during a run.
-TEST(PoolStats, VectorPoolAccountingRoundTripsThroughSampler) {
-  VectorPool<std::uint32_t> pool;
-  std::vector<std::uint32_t> a = pool.acquire();  // miss: pool empty
-  a.push_back(1);
-  std::vector<std::uint32_t> b = pool.acquire();  // miss
-  b.push_back(2);
-  pool.release(std::move(a));
-  pool.release(std::move(b));
-  EXPECT_EQ(pool.parked(), 2u);
-  EXPECT_EQ(pool.stats().high_water, 2u);
-  std::vector<std::uint32_t> c = pool.acquire();  // hit
-  EXPECT_EQ(pool.stats().reuses, 1u);
-  pool.release(std::move(c));
-
-  TimeSeries ts(SimTime::seconds(1.0));
-  const int parked = ts.column("arena.rx_pool_parked");
-  const int reuses = ts.column("test.value");
-  ts.set_collector([&](SimTime, TimeSeries& out) {
-    out.set(parked, static_cast<double>(pool.parked()));
-    out.set(reuses, static_cast<double>(pool.stats().reuses));
-  });
-  ts.advance_to(SimTime::seconds(1.0));
-  ASSERT_EQ(ts.row_count(), 1u);
-  EXPECT_DOUBLE_EQ(ts.value(0, parked), 2.0);
-  EXPECT_DOUBLE_EQ(ts.value(0, reuses), 1.0);
-
-  // reset() frees parked buffers but preserves lifetime stats.
-  pool.reset();
-  EXPECT_EQ(pool.parked(), 0u);
-  EXPECT_EQ(pool.stats().high_water, 2u);
-  EXPECT_EQ(pool.stats().reuses, 1u);
-  ts.advance_to(SimTime::seconds(2.0));
-  ASSERT_EQ(ts.row_count(), 2u);
-  EXPECT_DOUBLE_EQ(ts.value(1, parked), 0.0);
-  EXPECT_DOUBLE_EQ(ts.value(1, reuses), 1.0);
-}
-
-TEST(PoolStats, BlockPoolTracksParkedBytesHighWaterAndReuse) {
-  // BlockPool is a thread-local singleton; run on a fresh thread so no other
-  // test's allocations pollute the accounting.
-  std::thread([] {
-    BlockPool& pool = BlockPool::local();
-    void* p1 = pool.allocate(256);
-    void* p2 = pool.allocate(1024);
-    ASSERT_NE(p1, nullptr);
-    ASSERT_NE(p2, nullptr);
-    EXPECT_EQ(pool.parked_bytes(), 0u);
-    pool.deallocate(p1, 256);
-    pool.deallocate(p2, 1024);
-    EXPECT_EQ(pool.parked_bytes(), 1280u);
-    EXPECT_EQ(pool.stats().high_water, 1280u);
-
-    void* p3 = pool.allocate(256);  // served from the free list
-    EXPECT_EQ(pool.stats().reuses, 1u);
-    EXPECT_EQ(pool.parked_bytes(), 1024u);
-    pool.deallocate(p3, 256);
-
-    TimeSeries ts(SimTime::seconds(1.0));
-    const int bytes = ts.column("arena.block_pool_bytes",
-                                TimeSeries::Kind::kWall);
-    ts.set_collector([&](SimTime, TimeSeries& out) {
-      out.set(bytes, static_cast<double>(pool.parked_bytes()));
-    });
-    ts.advance_to(SimTime::seconds(1.0));
-    ASSERT_EQ(ts.row_count(), 1u);
-    EXPECT_DOUBLE_EQ(ts.value(0, bytes), 1280.0);
-
-    pool.release_all();
-    EXPECT_EQ(pool.parked_bytes(), 0u);
-    EXPECT_EQ(pool.stats().high_water, 1280u);  // lifetime stats survive
-    EXPECT_EQ(pool.stats().reuses, 1u);
-    EXPECT_EQ(pool.stats().acquires, 3u);
-  }).join();
 }
 
 }  // namespace

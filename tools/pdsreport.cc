@@ -7,11 +7,16 @@
 //   pdsreport gate     <dir|file...>           per-experiment shape asserts
 //
 // validate/gate exit 0 only when every report passes; diff exits 0 only when
-// all matched metrics agree within --tol (default 0.05 relative). render is
+// all matched metrics agree within --tol (default 0.05 relative), and exits 2
+// with the usage text, before reading a report, when --tol is not a finite
+// number above zero or a side is not a directory. render is
 // what EXPERIMENTS.md's tables are regenerated from. CI runs the smoke bench
 // subset, then `pdsreport validate` + `pdsreport gate` over the artifacts.
 #include <algorithm>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -324,17 +329,30 @@ int run_main(int argc, char** argv) {
     std::vector<std::string> dirs;
     for (int i = 2; i < argc; ++i) {
       if (std::strncmp(argv[i], "--tol=", 6) == 0) {
-        tol = std::atof(argv[i] + 6);
-        if (tol <= 0.0) {
-          std::fprintf(stderr, "pdsreport: bad --tol value \"%s\"\n",
-                       argv[i] + 6);
-          return 2;
+        // A finite number above zero with nothing after it: NaN, infinity
+        // or an overflow would pass every metric as equal.
+        const char* text = argv[i] + 6;
+        char* end = nullptr;
+        errno = 0;
+        tol = std::strtod(text, &end);
+        if (end == text || *end != '\0' || errno != 0 || !std::isfinite(tol) ||
+            tol <= 0.0) {
+          std::fprintf(stderr, "pdsreport: bad --tol value \"%s\"\n", text);
+          return usage();
         }
       } else {
         dirs.emplace_back(argv[i]);
       }
     }
     if (dirs.size() != 2) return usage();
+    for (const std::string& dir : dirs) {
+      std::error_code ec;
+      if (!fs::is_directory(dir, ec)) {
+        std::fprintf(stderr, "pdsreport: %s is not a directory\n",
+                     dir.c_str());
+        return usage();
+      }
+    }
     return run_diff(dirs[0], dirs[1], tol);
   }
 

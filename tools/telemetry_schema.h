@@ -127,7 +127,7 @@ struct SeriesSchema {
   const char* unit;  // human unit for pdscli stats rendering
 };
 
-inline constexpr std::array<SeriesSchema, 24> kSeriesCatalog = {{
+inline constexpr std::array<SeriesSchema, 22> kSeriesCatalog = {{
     // -- Scheduler / event queue (sim/event_queue.h) -------------------------
     {"sched.queue_len", "sim", "events"},
     {"sched.ring_live", "sim", "events"},
@@ -153,9 +153,7 @@ inline constexpr std::array<SeriesSchema, 24> kSeriesCatalog = {{
     {"store.chunk_bytes", "sim", "bytes"},
     {"lqt.entries", "sim", "queries"},
     {"lqt.bloom_fill_max", "sim", "ratio"},
-    // -- Arena pools (common/arena.h) and host probes ------------------------
-    {"arena.rx_pool_parked", "sim", "vectors"},
-    {"arena.block_pool_bytes", "wall", "bytes"},
+    // -- Host probes ---------------------------------------------------------
     {"rss.peak_mb", "wall", "MB"},
 }};
 
